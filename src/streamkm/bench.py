@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cache import CachedCoresetTree
-from .coreset import CoresetConfig
+from .coreset import CoresetConfig, spawn_seed
 from .driver import StreamClusterer
-from .kmeans import CenterSet, SequentialKMeans, best_of_runs, clustering_cost
+from .kmeans import SequentialKMeans, best_of_runs, clustering_cost
 from .online import OnlineClusterer
 from .recursive import RecursiveCachedTree
 from .tree import CoresetTree
@@ -50,71 +50,61 @@ class RunMetrics:
         return sum(r.query_ns for r in self.records)
 
 
+def _driven(make_structure):
+    """Table entry for a bucket structure behind a StreamClusterer."""
+
+    def make(cfg: CoresetConfig, ss, o) -> StreamClusterer:
+        return StreamClusterer(
+            make_structure(cfg, ss, o),
+            cfg,
+            query_seed=spawn_seed(ss, 1),
+            runs=o.best_of,
+            lloyd_iters=o.lloyd_iters,
+        )
+
+    return make, "push", "query"
+
+
+def _online(cfg: CoresetConfig, ss, o) -> OnlineClusterer:
+    return OnlineClusterer(
+        cfg,
+        o.r,
+        alpha=o.alpha,
+        eps=o.eps,
+        warmup=o.warmup,
+        seed=ss,
+        refine_runs=o.best_of,
+        lloyd_iters=o.lloyd_iters,
+    )
+
+
+# name -> (factory(cfg, seed sequence, options), ingest method, query method)
+_FACTORIES = {
+    "seq": (lambda cfg, ss, o: SequentialKMeans(cfg.k), "update", "center_set"),
+    "ct": _driven(lambda cfg, ss, o: CoresetTree(cfg, o.r, rng=np.random.default_rng(ss))),
+    "cc": _driven(lambda cfg, ss, o: CachedCoresetTree(cfg, o.r, seed=spawn_seed(ss, 0))),
+    "rcc": _driven(
+        lambda cfg, ss, o: RecursiveCachedTree(cfg, o.rcc_order, seed=spawn_seed(ss, 0))
+    ),
+    "online": (_online, "ingest", "query"),
+}
+
+
 class _Algo:
-    """Uniform view over the five streaming algorithms."""
+    """Uniform ingest/query view over the five streaming algorithms."""
 
     def __init__(self, name: str, cfg: CoresetConfig, seed_seq, opts):
-        self.name = name
-        if name == "seq":
-            self.impl = SequentialKMeans(cfg.k)
-        elif name == "ct":
-            rng = np.random.default_rng(seed_seq)
-            self.impl = StreamClusterer(
-                CoresetTree(cfg, opts.r, rng=rng),
-                cfg,
-                query_seed=_spawn(seed_seq, 1),
-                runs=opts.best_of,
-                lloyd_iters=opts.lloyd_iters,
-            )
-        elif name == "cc":
-            self.impl = StreamClusterer(
-                CachedCoresetTree(cfg, opts.r, seed=_spawn(seed_seq, 0)),
-                cfg,
-                query_seed=_spawn(seed_seq, 1),
-                runs=opts.best_of,
-                lloyd_iters=opts.lloyd_iters,
-            )
-        elif name == "rcc":
-            self.impl = StreamClusterer(
-                RecursiveCachedTree(cfg, opts.rcc_order, seed=_spawn(seed_seq, 0)),
-                cfg,
-                query_seed=_spawn(seed_seq, 1),
-                runs=opts.best_of,
-                lloyd_iters=opts.lloyd_iters,
-            )
-        elif name == "online":
-            self.impl = OnlineClusterer(
-                cfg,
-                opts.r,
-                alpha=opts.alpha,
-                eps=opts.eps,
-                warmup=opts.warmup,
-                seed=seed_seq,
-                refine_runs=opts.best_of,
-                lloyd_iters=opts.lloyd_iters,
-            )
-        else:
+        if name not in _FACTORIES:
             raise ValueError(f"unknown algorithm {name!r}; pick one of {ALGORITHMS}")
-
-    def ingest(self, p) -> None:
-        if self.name == "seq":
-            self.impl.update(p)
-        elif self.name == "online":
-            self.impl.ingest(p)
-        else:
-            self.impl.push(p)
-
-    def query(self) -> CenterSet:
-        if self.name == "seq":
-            return self.impl.center_set()
-        return self.impl.query()
-
-    def stored_points(self) -> int:
-        return self.impl.stored_points()
+        make, ingest, query = _FACTORIES[name]
+        self.impl = make(cfg, seed_seq, opts)
+        self.ingest = getattr(self.impl, ingest)
+        self.query = getattr(self.impl, query)
+        self.stored_points = self.impl.stored_points
 
     @property
     def fallbacks(self) -> int:
-        return self.impl.fallback_count if self.name == "online" else 0
+        return getattr(self.impl, "fallback_count", 0)
 
 
 @dataclass
@@ -129,12 +119,6 @@ class BenchOptions:
     exact_ssq: bool = True
     timing: bool = True
     final_query: bool = True
-
-
-def _spawn(seed_seq: np.random.SeedSequence, idx: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(
-        entropy=seed_seq.entropy, spawn_key=tuple(seed_seq.spawn_key) + (idx,)
-    )
 
 
 def run_benchmark(

@@ -18,6 +18,25 @@ from .coreset import Bucket, CoresetConfig, build_coreset
 from .tree import CoresetTree
 
 
+def join_prefix(prefix: Bucket, rest: list[Bucket]) -> list[Bucket]:
+    """[prefix] + rest, once the cached prefix is checked to abut rest exactly."""
+    if prefix.span_right + 1 != rest[0].span_left:
+        raise RuntimeError(
+            f"cache entry [{prefix.span_left},{prefix.span_right}] does not abut "
+            f"the summary [{rest[0].span_left},{rest[-1].span_right}]"
+        )
+    return [prefix] + rest
+
+
+def store_pruned(cache: dict[int, Bucket], n: int, r: int, out: Bucket) -> None:
+    """Cache `out` under n and drop every key outside prefixsum(n, r) and n."""
+    cache[n] = out
+    allowed = set(radix.prefixsum(n, r))
+    allowed.add(n)
+    for key in set(cache) - allowed:
+        del cache[key]
+
+
 class CachedCoresetTree:
     """Merge-degree-r coreset tree plus cached query summaries."""
 
@@ -35,7 +54,6 @@ class CachedCoresetTree:
         self.query_builds = 0
         self.last_query_width = 0  # buckets unioned by the most recent query
         self.last_query_path: str | None = None
-        self.last_returned_level: int | None = None
 
     @property
     def n(self) -> int:
@@ -45,6 +63,9 @@ class CachedCoresetTree:
     def update(self, bucket: Bucket) -> None:
         """Ingest a bucket; the cache is only touched by queries."""
         self.tree.update(bucket)
+
+    def summary(self) -> list[Bucket]:
+        return [self.coreset()] if self.n > 0 else []
 
     def coreset(self) -> Bucket:
         """Summary of everything ingested, spanning buckets [1, N]."""
@@ -56,7 +77,6 @@ class CachedCoresetTree:
             # untouched, no eviction.
             self.last_query_width = 0
             self.last_query_path = "cached"
-            self.last_returned_level = self.cache[n].level
             return self.cache[n].copy()
 
         n1 = radix.major(n, self.r)
@@ -65,14 +85,7 @@ class CachedCoresetTree:
             candidate = self._minor_buckets(beta, alpha)
             self.last_query_path = "tree-only"
         elif n1 in self.cache:
-            prefix = self.cache[n1]
-            minor_part = self._minor_buckets(beta, alpha)
-            # The cached prefix must abut the minor-part buckets exactly.
-            assert prefix.span_right + 1 == minor_part[0].span_left, (
-                f"cache entry [{prefix.span_left},{prefix.span_right}] does not "
-                f"abut tree buckets starting at {minor_part[0].span_left}"
-            )
-            candidate = [prefix] + minor_part
+            candidate = join_prefix(self.cache[n1], self._minor_buckets(beta, alpha))
             self.last_query_path = "cache-hit"
         else:
             candidate = self.tree.coreset_buckets()
@@ -86,24 +99,22 @@ class CachedCoresetTree:
         else:
             out = build_coreset(self.cfg, candidate, self._rng)
             self.query_builds += 1
-
-        self.cache[n] = out
-        allowed = set(radix.prefixsum(n, self.r))
-        allowed.add(n)
-        for key in sorted(self.cache):
-            if key not in allowed:
-                del self.cache[key]
-        self.last_returned_level = out.level
+        store_pruned(self.cache, n, self.r, out)
         return out.copy()
 
     def _minor_buckets(self, beta: int, alpha: int) -> list[Bucket]:
         """The beta slot-alpha tree buckets covering the minor part of N."""
         slot = self.tree.slots[alpha] if alpha < len(self.tree.slots) else []
-        assert len(slot) == beta, (
-            f"digit invariant violated: slot {alpha} holds {len(slot)} buckets, "
-            f"expected {beta}"
-        )
-        assert slot[-1].span_right == self.tree.last_right
+        if len(slot) != beta:
+            raise RuntimeError(
+                f"digit invariant violated: slot {alpha} holds {len(slot)} buckets "
+                f"{[b.span for b in slot]}, expected {beta}"
+            )
+        if slot[-1].span_right != self.tree.last_right:
+            raise RuntimeError(
+                f"slot {alpha} ends at bucket [{slot[-1].span_left},{slot[-1].span_right}], "
+                f"not at the last ingested bucket {self.tree.last_right}"
+            )
         return list(slot)
 
     def cache_keys(self) -> list[int]:

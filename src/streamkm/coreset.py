@@ -8,7 +8,7 @@ size-m summary increments the level by one past the deepest input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +36,19 @@ class CoresetConfig:
             raise ValueError(f"bucket size m={self.m} must be >= k={self.k}")
 
 
+def spawn_seed(seed: int | np.random.SeedSequence, *key: int) -> np.random.SeedSequence:
+    """The child of `seed` at spawn key `key`; with no key, `seed` itself.
+
+    An int is the entropy of a fresh root.  Every structure derives its
+    sub-streams this way, so one seed reproduces a whole run.
+    """
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    if not key:
+        return seed
+    return np.random.SeedSequence(seed.entropy, spawn_key=tuple(seed.spawn_key) + key)
+
+
 @dataclass
 class Bucket:
     """Weighted point set with its stream span and coreset level."""
@@ -53,6 +66,10 @@ class Bucket:
             raise ValueError(
                 f"{len(self.points)} points but {len(self.weights)} weights"
             )
+        if not np.all(np.isfinite(self.points)):
+            raise ValueError("bucket points must be finite")
+        if not np.all(np.isfinite(self.weights)):
+            raise ValueError("bucket weights must be finite")
         if np.any(self.weights <= 0):
             raise ValueError("bucket weights must be positive")
         if self.span_left > self.span_right:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,8 +12,9 @@ def read_csv_stream(path, shuffle_seed: int | None = None) -> np.ndarray:
     """Numeric rows of a CSV file as an (n, d) array, in file order.
 
     A shuffle seed applies one uniform in-memory permutation.  Ragged or
-    non-numeric rows raise with the offending line number.  Fields may be
-    separated by commas or whitespace; blank lines are skipped.
+    non-numeric rows and nan or inf fields raise with the offending line
+    number.  Fields may be separated by commas or whitespace; blank lines
+    are skipped.
     """
     rows: list[list[float]] = []
     width: int | None = None
@@ -34,6 +36,13 @@ def read_csv_stream(path, shuffle_seed: int | None = None) -> np.ndarray:
                 )
             rows.append(row)
     points = np.array(rows, dtype=np.float64).reshape(len(rows), width or 0)
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        bad_row = int(np.argmin(finite))
+        with open(path) as fh:
+            linenos = (i for i, line in enumerate(fh, start=1) if line.strip())
+            lineno = next(itertools.islice(linenos, bad_row, None))
+        raise ValueError(f"{path}:{lineno}: non-finite field")
     if shuffle_seed is not None:
         rng = np.random.default_rng(shuffle_seed)
         points = points[rng.permutation(len(points))]

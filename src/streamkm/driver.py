@@ -1,31 +1,31 @@
 """Stream-clustering driver.
 
-Batches raw points into level-0 buckets of size m, hands them to a tree or
-cache structure, and answers center queries by clustering the structure's
-summary together with the not-yet-flushed partial batch.
+Batches raw points into level-0 buckets of size m, hands them to a bucket
+structure, and answers center queries by clustering the structure's
+summary() together with the not-yet-flushed partial batch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .coreset import Bucket, CoresetConfig
+from .coreset import Bucket, CoresetConfig, spawn_seed
 from .kmeans import CenterSet, assign_to_centers, best_of_runs
 
 
 class StreamClusterer:
     """Feeds any bucket structure and answers k-means center queries.
 
-    The structure must expose update(bucket) plus either coreset_buckets()
-    (plain trees, unioned by the driver) or coreset() (cached structures
-    that hand back one reduced bucket).
+    The structure must expose update(bucket), summary() -> list[Bucket]
+    covering every bucket ingested so far, and stored_points().  The query
+    seed may also be a Generator, which the driver then draws from directly.
     """
 
     def __init__(
         self,
         structure,
         cfg: CoresetConfig,
-        query_seed: int | np.random.SeedSequence | None = None,
+        query_seed: int | np.random.SeedSequence | np.random.Generator | None = None,
         runs: int = 5,
         lloyd_iters: int = 20,
     ):
@@ -34,13 +34,12 @@ class StreamClusterer:
         self.runs = runs
         self.lloyd_iters = lloyd_iters
         if query_seed is None:
-            query_seed = np.random.SeedSequence(cfg.seed, spawn_key=(1,))
+            query_seed = spawn_seed(cfg.seed, 1)
         self._rng = np.random.default_rng(query_seed)
         self._partial: list[np.ndarray] = []
         self.points_seen = 0
         self.buckets_delivered = 0
         self._dim: int | None = None
-        self.last_query_parts = 0
 
     def push(self, p) -> None:
         """Buffer one point; every m-th point flushes a bucket downstream."""
@@ -65,16 +64,13 @@ class StreamClusterer:
 
     def query(self) -> CenterSet:
         """Cluster the structure summary plus the partial batch."""
+        return self.query_with_cost()[0]
+
+    def query_with_cost(self) -> tuple[CenterSet, float]:
+        """query() plus the weighted cost of its centers on the clustered pool."""
         if self.points_seen == 0:
             raise ValueError("no points ingested yet")
-        if hasattr(self.structure, "coreset_buckets"):
-            parts = self.structure.coreset_buckets()
-        elif self.structure.n > 0:
-            parts = [self.structure.coreset()]
-        else:
-            parts = []
-        self.last_query_parts = len(parts)
-
+        parts = self.structure.summary()
         pools = [b.points for b in parts]
         pool_weights = [b.weights for b in parts]
         if self._partial:
@@ -85,17 +81,9 @@ class StreamClusterer:
         centers = best_of_runs(
             points, weights, self.cfg.k, self._rng, runs=self.runs, lloyd_iters=self.lloyd_iters
         )
-        assign, _ = assign_to_centers(points, centers)
+        assign, d2 = assign_to_centers(points, centers)
         per_center = np.bincount(assign, weights=weights, minlength=len(centers))
-        return CenterSet(centers, per_center)
+        return CenterSet(centers, per_center), float(np.dot(weights, d2))
 
     def stored_points(self) -> int:
         return self.structure.stored_points() + len(self._partial)
-
-    def total_weight(self) -> float:
-        """Weight of the current summary plus buffer; equals points_seen."""
-        if hasattr(self.structure, "coreset_buckets"):
-            structure_weight = sum(b.total_weight() for b in self.structure.coreset_buckets())
-        else:
-            structure_weight = self.structure.cfg.m * self.structure.n
-        return float(structure_weight + len(self._partial))

@@ -27,11 +27,6 @@ class CenterSet:
     centers: np.ndarray  # (k, d)
     weights: np.ndarray  # (k,)
 
-    @classmethod
-    def from_centers(cls, centers: np.ndarray) -> "CenterSet":
-        centers = np.asarray(centers, dtype=np.float64)
-        return cls(centers, np.zeros(len(centers)))
-
     @property
     def k(self) -> int:
         return len(self.centers)
@@ -199,16 +194,14 @@ class SequentialKMeans:
     """One-pass streaming clusterer.
 
     The first k stream points become the centers (weight 1 each); every
-    later point moves its nearest center to the weighted centroid
-    (w*c + p) / (w + 1) and increments that center's weight.
+    later point takes one sequential_update step.
     """
 
     def __init__(self, k: int):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
-        self._centers: np.ndarray | None = None
-        self._weights: np.ndarray | None = None
+        self._state: CenterSet | None = None
         self._seeded = 0
 
     @property
@@ -216,34 +209,34 @@ class SequentialKMeans:
         return self._seeded >= self.k
 
     def update(self, p) -> None:
-        p = np.asarray(p, dtype=np.float64)
-        if self._centers is None:
-            self._centers = np.zeros((self.k, p.shape[0]))
-            self._weights = np.zeros(self.k)
         if self._seeded < self.k:
-            self._centers[self._seeded] = p
-            self._weights[self._seeded] = 1.0
+            p = np.asarray(p, dtype=np.float64)
+            if self._state is None:
+                self._state = CenterSet(np.zeros((self.k, p.shape[0])), np.zeros(self.k))
+            self._state.centers[self._seeded] = p
+            self._state.weights[self._seeded] = 1.0
             self._seeded += 1
             return
-        d2 = sq_dists_to_centers(p[None, :], self._centers)[0]
-        j = int(np.argmin(d2))
-        w = self._weights[j]
-        self._centers[j] = (w * self._centers[j] + p) / (w + 1.0)
-        self._weights[j] = w + 1.0
+        sequential_update(self._state, p)
 
     def center_set(self) -> CenterSet:
         """Current centers; before k points arrive, the seeded prefix."""
         if self._seeded == 0:
             raise RuntimeError("no points seen yet")
         s = self._seeded
-        return CenterSet(self._centers[:s].copy(), self._weights[:s].copy())
+        return CenterSet(self._state.centers[:s].copy(), self._state.weights[:s].copy())
 
     def stored_points(self) -> int:
         return self.k
 
 
-def sequential_update(state: CenterSet, p) -> None:
-    """Single MacQueen step on an initialized CenterSet, in place."""
+def sequential_update(state: CenterSet, p) -> float:
+    """Single MacQueen step on an initialized CenterSet, in place.
+
+    The nearest center moves to the weighted centroid (w*c + p) / (w + 1)
+    and its weight grows by one.  Returns the squared distance from p to
+    that center before the move.
+    """
     p = np.asarray(p, dtype=np.float64)
     if state.centers is None or len(state.centers) == 0:
         raise ValueError("sequential update requires an initialized center set")
@@ -252,3 +245,4 @@ def sequential_update(state: CenterSet, p) -> None:
     w = state.weights[j]
     state.centers[j] = (w * state.centers[j] + p) / (w + 1.0)
     state.weights[j] = w + 1.0
+    return float(d2[j])

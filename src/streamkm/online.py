@@ -1,14 +1,15 @@
 """Hybrid online clusterer: sequential center maintenance with a cached
 coreset tree standing by for recomputation.
 
-Every arriving point nudges its nearest center toward it (the one-pass
-centroid rule) and also flows into a cached coreset tree in the
-background.  phi_now tracks an upper bound on the current clustering cost:
-it grows by the squared distance of each point to its pre-move nearest
-center.  A query normally just returns the maintained centers; only when
-phi_now exceeds alpha times the cost recorded at the last recomputation
-does the query rebuild centers from the coreset, which resets the bound to
-phi_prev / (1 - eps).
+Every arriving point nudges its nearest center toward it (one
+sequential_update step) and is also pushed through a StreamClusterer over
+a cached coreset tree, which batches it into buckets in the background.
+phi_now tracks an upper bound on the current clustering cost: it grows by
+the squared distance of each point to its pre-move nearest center.  A
+query normally just returns the maintained centers; only when phi_now
+exceeds alpha times the cost recorded at the last recomputation does the
+query fall back to the driver's own query, which rebuilds centers from the
+coreset plus the partial batch and resets the bound to phi_prev / (1 - eps).
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ from __future__ import annotations
 import numpy as np
 
 from .cache import CachedCoresetTree
-from .coreset import Bucket, CoresetConfig
+from .coreset import CoresetConfig, spawn_seed
+from .driver import StreamClusterer
 from .kmeans import (
     CenterSet,
     assign_to_centers,
-    best_of_runs,
     clustering_cost,
     kmeans_pp,
-    sq_dists_to_centers,
+    sequential_update,
 )
 
 
@@ -51,18 +52,13 @@ class OnlineClusterer:
         self.warmup = 2 * cfg.k if warmup is None else warmup
         if self.warmup < cfg.k:
             raise ValueError(f"warmup {self.warmup} smaller than k={cfg.k}")
-        self.refine_runs = refine_runs
-        self.lloyd_iters = lloyd_iters
 
-        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(
-            cfg.seed if seed is None else seed
-        )
-        entropy, key = root.entropy, tuple(root.spawn_key)
-        self.cc = CachedCoresetTree(
-            cfg, r, seed=np.random.SeedSequence(entropy, spawn_key=key + (0,))
-        )
-        self._rng = np.random.default_rng(
-            np.random.SeedSequence(entropy, spawn_key=key + (1,))
+        root = spawn_seed(cfg.seed if seed is None else seed)
+        self.cc = CachedCoresetTree(cfg, r, seed=spawn_seed(root, 0))
+        # Initialization and fallbacks draw from this one generator.
+        self._rng = np.random.default_rng(spawn_seed(root, 1))
+        self.driver = StreamClusterer(
+            self.cc, cfg, query_seed=self._rng, runs=refine_runs, lloyd_iters=lloyd_iters
         )
 
         self.centers: np.ndarray | None = None
@@ -70,8 +66,6 @@ class OnlineClusterer:
         self.phi_prev = 0.0
         self.phi_now = 0.0
         self._warm: list[np.ndarray] = []
-        self._partial: list[np.ndarray] = []
-        self._delivered = 0
         self.query_count = 0
         self.fallback_count = 0
         self.last_fell_back: bool | None = None
@@ -109,74 +103,27 @@ class OnlineClusterer:
         self.phi_prev = cost
         self.phi_now = cost
         for p in s0:
-            self._push_partial(p)
-
-    def _push_partial(self, p: np.ndarray) -> None:
-        self._partial.append(p)
-        if len(self._partial) == self.cfg.m:
-            self._delivered += 1
-            bucket = Bucket(
-                np.array(self._partial),
-                np.ones(self.cfg.m),
-                self._delivered,
-                self._delivered,
-                level=0,
-            )
-            self.cc.update(bucket)
-            self._partial = []
+            self.driver.push(p)
 
     def update(self, p) -> None:
         """Absorb one point: bump phi_now, move the nearest center, buffer."""
         if self.centers is None:
             raise RuntimeError("clusterer not initialized; feed warmup points first")
-        p = np.asarray(p, dtype=np.float64)
-        d2 = sq_dists_to_centers(p[None, :], self.centers)[0]
-        j = int(np.argmin(d2))
-        self.phi_now += float(d2[j])
-        w = self.center_weights[j]
-        self.centers[j] = (w * self.centers[j] + p) / (w + 1.0)
-        self.center_weights[j] = w + 1.0
-        self._push_partial(p)
+        self.phi_now += sequential_update(CenterSet(self.centers, self.center_weights), p)
+        self.driver.push(p)
 
     def query(self) -> CenterSet:
         """Current centers; recomputed from the coreset only past threshold."""
         if self.centers is None:
             raise RuntimeError("clusterer not initialized; feed warmup points first")
         self.query_count += 1
-        if self.phi_now > self.alpha * self.phi_prev:
-            self._fallback()
-            self.last_fell_back = True
-        else:
-            self.last_fell_back = False
+        self.last_fell_back = self.phi_now > self.alpha * self.phi_prev
+        if self.last_fell_back:
+            answer, self.phi_prev = self.driver.query_with_cost()
+            self.centers, self.center_weights = answer.centers, answer.weights
+            self.phi_now = self.phi_prev / (1.0 - self.eps)
+            self.fallback_count += 1
         return CenterSet(self.centers.copy(), self.center_weights.copy())
 
-    def _fallback(self) -> None:
-        pools = []
-        pool_weights = []
-        if self.cc.n > 0:
-            summary = self.cc.coreset()
-            pools.append(summary.points)
-            pool_weights.append(summary.weights)
-        if self._partial:
-            pools.append(np.array(self._partial))
-            pool_weights.append(np.ones(len(self._partial)))
-        points = np.concatenate(pools)
-        weights = np.concatenate(pool_weights)
-        self.centers = best_of_runs(
-            points,
-            weights,
-            self.cfg.k,
-            self._rng,
-            runs=self.refine_runs,
-            lloyd_iters=self.lloyd_iters,
-        )
-        assign, _ = assign_to_centers(points, self.centers)
-        self.center_weights = np.bincount(
-            assign, weights=weights, minlength=len(self.centers)
-        )
-        self.phi_prev = clustering_cost(points, self.centers, weights)
-        self.phi_now = self.phi_prev / (1.0 - self.eps)
-        self.fallback_count += 1
-
     def stored_points(self) -> int:
-        return self.cc.stored_points() + len(self._partial) + len(self._warm) + self.cfg.k
+        return self.driver.stored_points() + len(self._warm) + self.cfg.k

@@ -14,18 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import radix
-from .cache import CachedCoresetTree
-from .coreset import Bucket, CoresetConfig, build_coreset
+from .cache import CachedCoresetTree, join_prefix, store_pruned
+from .coreset import Bucket, CoresetConfig, build_coreset, spawn_seed
 
 MAX_ORDER = 6  # 2**(2**6) buckets per level is already past any realistic stream
-
-
-def _as_seed_seq(seed, default_entropy: int) -> np.random.SeedSequence:
-    if seed is None:
-        return np.random.SeedSequence(default_entropy)
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
 
 
 class RecursiveCachedTree:
@@ -44,7 +36,7 @@ class RecursiveCachedTree:
         self.cfg = cfg
         self.order = order
         self.r = 2 ** (2**order)
-        self._seed_seq = _as_seed_seq(seed, cfg.seed)
+        self._seed_seq = spawn_seed(cfg.seed if seed is None else seed)
         self.last_query_merge_count = 0
         if order == 0:
             # Order 0 is exactly a degree-2 cached coreset tree.
@@ -73,10 +65,7 @@ class RecursiveCachedTree:
         if self.children[level] is None:
             # Fresh sub-seed per (level, flush epoch) keeps re-initialized
             # children independent but reproducible.
-            key = tuple(self._seed_seq.spawn_key) + (level, self._epochs[level])
-            child_seed = np.random.SeedSequence(
-                entropy=self._seed_seq.entropy, spawn_key=key
-            )
+            child_seed = spawn_seed(self._seed_seq, level, self._epochs[level])
             self.children[level] = RecursiveCachedTree(
                 self.cfg, self.order - 1, seed=child_seed
             )
@@ -102,6 +91,9 @@ class RecursiveCachedTree:
             self._epochs[level] += 1
             level += 1
 
+    def summary(self) -> list[Bucket]:
+        return [self.coreset()] if self.n > 0 else []
+
     def coreset(self) -> Bucket:
         """Summary of everything ingested by this node."""
         if self._cc is not None:
@@ -113,15 +105,9 @@ class RecursiveCachedTree:
 
         n1 = radix.major(self._n, self.r)
         if n1 != 0 and n1 in self.cache:
-            prefix = self.cache[n1]
             low = min(i for i, lst in enumerate(self.lists) if lst)
             child = self._child(low)
-            tail = child.coreset()
-            assert prefix.span_right + 1 == tail.span_left, (
-                f"cache entry [{prefix.span_left},{prefix.span_right}] does not "
-                f"abut child summary starting at {tail.span_left}"
-            )
-            candidate = [prefix, tail]
+            candidate = join_prefix(self.cache[n1], [child.coreset()])
             merge_count = 2 + child.last_query_merge_count
         else:
             candidate = []
@@ -139,12 +125,7 @@ class RecursiveCachedTree:
             out = build_coreset(self.cfg, candidate, self._rng)
             self.query_builds += 1
 
-        self.cache[self._n] = out
-        allowed = set(radix.prefixsum(self._n, self.r))
-        allowed.add(self._n)
-        for key in sorted(self.cache):
-            if key not in allowed:
-                del self.cache[key]
+        store_pruned(self.cache, self._n, self.r, out)
         self.last_query_merge_count = merge_count
         return out.copy()
 

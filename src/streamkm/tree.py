@@ -65,6 +65,9 @@ class CoresetTree:
             out.extend(slot)
         return out
 
+    def summary(self) -> list[Bucket]:
+        return self.coreset_buckets()
+
     def max_level(self) -> int:
         """Highest nonempty slot index."""
         if self.n_ingested == 0:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from streamkm import Bucket, CachedCoresetTree, CoresetConfig, CoresetTree
+from streamkm import Bucket, CachedCoresetTree, CoresetConfig, CoresetTree, RecursiveCachedTree
 from streamkm.radix import decompose, prefixsum
 
 
@@ -170,3 +170,45 @@ def test_structure_matches_plain_tree_when_cache_disabled_every_query():
         cc.cache.clear()
         cc.coreset()
         assert cc.last_query_width == len(ct.coreset_buckets())
+
+
+def _respan(b, left, right):
+    return Bucket(b.points, b.weights, left, right, b.level)
+
+
+def _extra_slot_bucket(s):
+    s.tree.slots[1].append(s.tree.slots[1][0])
+
+
+def _short_slot_bucket(s):
+    s.tree.slots[1][0] = _respan(s.tree.slots[1][0], 5, 5)
+
+
+def _gapped_cache_entry(s):
+    s.cache[4] = _respan(s.cache[4], 1, 3)
+
+
+@pytest.mark.parametrize(
+    "make, corrupt, match",
+    [
+        (lambda cfg: CachedCoresetTree(cfg, r=2), _extra_slot_bucket, "digit invariant"),
+        (lambda cfg: CachedCoresetTree(cfg, r=2), _short_slot_bucket, "last ingested"),
+        (lambda cfg: CachedCoresetTree(cfg, r=2), _gapped_cache_entry, "does not abut"),
+        (lambda cfg: RecursiveCachedTree(cfg, 1), _gapped_cache_entry, "does not abut"),
+    ],
+    ids=["digit", "last-right", "cc-abut", "rcc-abut"],
+)
+def test_corrupted_structure_raises(make, corrupt, match):
+    # Six buckets queried one by one leave major(6) = 4 cached, with buckets
+    # 5-6 in the tree (slot 1 for r=2, the order-0 child for rcc).  The
+    # checks must be raised errors, so they also hold under python -O.
+    s = make(CoresetConfig(k=2, m=8, seed=13))
+    rng = np.random.default_rng(13)
+    for i in range(1, 7):
+        s.update(base_bucket(rng, i, n=4))
+        s.coreset()
+    assert 4 in s.cache
+    del s.cache[6]
+    corrupt(s)
+    with pytest.raises(RuntimeError, match=match):
+        s.coreset()

@@ -16,6 +16,14 @@ class TestBucket:
         with pytest.raises(ValueError):
             Bucket([[1.0, 2.0]], [0.0], 1, 1, 0)
 
+    def test_non_finite_weight_rejected(self):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            Bucket([[1.0, 2.0], [3.0, 4.0]], [1.0, np.nan], 1, 1, 0)
+
+    def test_non_finite_point_rejected(self):
+        with pytest.raises(ValueError, match="points must be finite"):
+            Bucket([[1.0, np.nan]], [1.0], 1, 1, 0)
+
     def test_span_order_enforced(self):
         with pytest.raises(ValueError):
             Bucket([[1.0, 2.0]], [1.0], 3, 2, 0)

@@ -34,6 +34,13 @@ class TestCsv:
         with pytest.raises(ValueError, match=":2:"):
             read_csv_stream(f)
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-Infinity"])
+    def test_non_finite_reports_line(self, tmp_path, field):
+        f = tmp_path / "bad.csv"
+        f.write_text(f"1,2\n\n3,4\n5,{field}\n7,8\n")  # blank line 2 still counts
+        with pytest.raises(ValueError, match=r"bad\.csv:4: non-finite"):
+            read_csv_stream(f)
+
     def test_non_numeric_reports_line(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("1,2\n3,oops\n")

@@ -64,6 +64,16 @@ class TestPush:
             d.push([1.0, 2.0, 3.0])
 
 
+    def test_inf_point_rejected_at_flush(self):
+        d = make_driver(m=5)
+        pts = np.random.default_rng(4).normal(size=(5, 2))
+        pts[2, 1] = np.inf
+        for p in pts[:4]:
+            d.push(p)
+        with pytest.raises(ValueError, match="points must be finite"):
+            d.push(pts[4])
+
+
 class TestQuery:
     def test_zero_points_error(self):
         with pytest.raises(ValueError):

@@ -91,7 +91,7 @@ class TestUpdate:
             # 4 warmup points sit in the partial bucket, so the flush
             # happens after m - 4 updates and exactly once so far
         assert oc.cc.n == 1
-        assert len(oc._partial) == 4
+        assert len(oc.driver._partial) == 4
 
 
 class TestQuery:
