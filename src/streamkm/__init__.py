@@ -1,7 +1,7 @@
 """Streaming k-means clustering with coreset trees and coreset caching."""
 
 from .cache import CachedCoresetTree
-from .coreset import Bucket, CoresetConfig, build_coreset, union_buckets
+from .coreset import Bucket, CoresetConfig, build_coreset
 from .driver import StreamClusterer
 from .kmeans import (
     CenterSet,
@@ -11,7 +11,6 @@ from .kmeans import (
     kmeans_pp,
     lloyd_refine,
     sequential_update,
-    squared_distance,
 )
 from .online import OnlineClusterer
 from .radix import major, minor, partsum, prefixsum
@@ -42,8 +41,6 @@ __all__ = [
     "prefixsum",
     "schedule_queries",
     "sequential_update",
-    "squared_distance",
-    "union_buckets",
 ]
 
 __version__ = "0.1.0"

@@ -80,7 +80,7 @@ class CachedCoresetTree:
             return self.cache[n].copy()
 
         n1 = radix.major(n, self.r)
-        beta, alpha = radix.decompose(n, self.r)[0]
+        beta, alpha = radix.lowest(n, self.r)
         if n1 == 0:
             candidate = self._minor_buckets(beta, alpha)
             self.last_query_path = "tree-only"

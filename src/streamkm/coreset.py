@@ -111,21 +111,6 @@ def _ordered_contiguous(inputs: list[Bucket]) -> list[Bucket]:
     return ordered
 
 
-def union_buckets(inputs: list[Bucket]) -> Bucket:
-    """Concatenate bucket point sets without reduction.
-
-    Level is the max input level; span is the union of the input spans.
-    """
-    ordered = _ordered_contiguous(inputs)
-    return Bucket(
-        np.concatenate([b.points for b in ordered]),
-        np.concatenate([b.weights for b in ordered]),
-        ordered[0].span_left,
-        ordered[-1].span_right,
-        max(b.level for b in ordered),
-    )
-
-
 def build_coreset(cfg: CoresetConfig, inputs: list[Bucket], rng: np.random.Generator) -> Bucket:
     """Reduce contiguous buckets to one bucket of at most m weighted points.
 

@@ -74,8 +74,11 @@ class StreamClusterer:
         pools = [b.points for b in parts]
         pool_weights = [b.weights for b in parts]
         if self._partial:
-            pools.append(np.array(self._partial))
-            pool_weights.append(np.ones(len(self._partial)))
+            partial = np.array(self._partial)
+            if not np.all(np.isfinite(partial)):
+                raise ValueError("partial batch points must be finite")
+            pools.append(partial)
+            pool_weights.append(np.ones(len(partial)))
         points = np.concatenate(pools)
         weights = np.concatenate(pool_weights)
         centers = best_of_runs(

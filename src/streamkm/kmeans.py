@@ -11,6 +11,7 @@ identical seeds reproduce identical results bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,16 +34,6 @@ class CenterSet:
 
     def copy(self) -> "CenterSet":
         return CenterSet(self.centers.copy(), self.weights.copy())
-
-
-def squared_distance(x, y) -> float:
-    """Squared Euclidean distance between two points of equal dimension."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    diff = x - y
-    return float(diff @ diff)
 
 
 def sq_dists_to_centers(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -187,6 +178,8 @@ def best_of_runs(
         if cost < best_cost:
             best_cost = cost
             best_centers = centers
+    if best_centers is None:
+        raise ValueError("no run reached a finite cost; squared distances overflow float64")
     return best_centers
 
 
@@ -211,6 +204,8 @@ class SequentialKMeans:
     def update(self, p) -> None:
         if self._seeded < self.k:
             p = np.asarray(p, dtype=np.float64)
+            if not math.isfinite(p @ p):
+                raise ValueError("point is not finite or its squared norm overflows")
             if self._state is None:
                 self._state = CenterSet(np.zeros((self.k, p.shape[0])), np.zeros(self.k))
             self._state.centers[self._seeded] = p
@@ -235,13 +230,17 @@ def sequential_update(state: CenterSet, p) -> float:
 
     The nearest center moves to the weighted centroid (w*c + p) / (w + 1)
     and its weight grows by one.  Returns the squared distance from p to
-    that center before the move.
+    that center before the move.  A point whose squared distance is not
+    finite (a NaN or inf coordinate, or one so large that it overflows) is
+    rejected before any center moves.
     """
     p = np.asarray(p, dtype=np.float64)
     if state.centers is None or len(state.centers) == 0:
         raise ValueError("sequential update requires an initialized center set")
     d2 = sq_dists_to_centers(p[None, :], state.centers)[0]
     j = int(np.argmin(d2))
+    if not math.isfinite(d2[j]):
+        raise ValueError(f"point is not finite or its squared distance overflows (d2={d2[j]})")
     w = state.weights[j]
     state.centers[j] = (w * state.centers[j] + p) / (w + 1.0)
     state.weights[j] = w + 1.0

@@ -4,15 +4,18 @@ coreset tree standing by for recomputation.
 Every arriving point nudges its nearest center toward it (one
 sequential_update step) and is also pushed through a StreamClusterer over
 a cached coreset tree, which batches it into buckets in the background.
-phi_now tracks an upper bound on the current clustering cost: it grows by
+phi_now tracks an estimate of the current clustering cost: it grows by
 the squared distance of each point to its pre-move nearest center.  A
 query normally just returns the maintained centers; only when phi_now
 exceeds alpha times the cost recorded at the last recomputation does the
 query fall back to the driver's own query, which rebuilds centers from the
-coreset plus the partial batch and resets the bound to phi_prev / (1 - eps).
+coreset plus the partial batch and resets the estimate to
+phi_prev / (1 - eps).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -79,20 +82,25 @@ class OnlineClusterer:
         if self.centers is None:
             self._warm.append(np.asarray(p, dtype=np.float64))
             if len(self._warm) == self.warmup:
-                self.initialize(np.array(self._warm))
-                self._warm = []
+                warm, self._warm = np.array(self._warm), []
+                self.initialize(warm)
             return
         self.update(p)
 
     def initialize(self, s0) -> None:
-        """Seed centers from the warmup set and start the cost bound there.
+        """Seed centers from the warmup set and start the cost estimate there.
 
         The warmup points also enter the background coreset pipeline so a
-        later fallback summarizes the stream from its very first point.
+        later fallback summarizes the stream from its very first point.  A
+        set with a point that is not finite, or large enough to overflow a
+        squared norm, is rejected whole; ingest() then starts a new one.
         """
         s0 = np.atleast_2d(np.asarray(s0, dtype=np.float64))
         if len(s0) < self.cfg.k:
             raise ValueError(f"warmup set has {len(s0)} points, need >= {self.cfg.k}")
+        flat = s0.ravel()
+        if not math.isfinite(flat @ flat):
+            raise ValueError("warmup points are not finite or their squared norms overflow")
         ones = np.ones(len(s0))
         self.centers = kmeans_pp(s0, ones, self.cfg.k, self._rng)
         assign, _ = assign_to_centers(s0, self.centers)

@@ -31,9 +31,19 @@ def decompose(n: int, r: int) -> list[tuple[int, int]]:
     return terms
 
 
+def lowest(n: int, r: int) -> tuple[int, int]:
+    """Lowest nonzero base-r digit of n and its exponent, (beta_0, alpha_0)."""
+    _check_args(n, r)
+    exp = 0
+    while n % r == 0:
+        n //= r
+        exp += 1
+    return n % r, exp
+
+
 def minor(n: int, r: int) -> int:
     """Smallest term beta_0 * r**alpha_0 of the base-r expansion of n."""
-    digit, exp = decompose(n, r)[0]
+    digit, exp = lowest(n, r)
     return digit * r**exp
 
 
@@ -48,12 +58,15 @@ def prefixsum(n: int, r: int) -> list[int]:
     Returns a sorted ascending list (empty when n is a single term); sorted
     order keeps cache-eviction iteration deterministic.
     """
-    terms = decompose(n, r)
+    _check_args(n, r)
     out = []
-    dropped = 0
-    for digit, exp in terms[:-1]:
-        dropped += digit * r**exp
-        out.append(n - dropped)
+    place = r
+    while n:
+        n, digit = divmod(n, r)
+        if digit and n:
+            # n * place is the original n with this digit and all below dropped
+            out.append(n * place)
+        place *= r
     out.reverse()
     return out
 

@@ -29,7 +29,6 @@ class CoresetTree:
         self.rng = rng if rng is not None else np.random.default_rng(cfg.seed)
         self.slots: list[list[Bucket]] = []
         self.n_ingested = 0
-        self.first_left: int | None = None
         self.last_right: int | None = None
         self.builds = 0  # build_coreset invocations, for amortized-work checks
 
@@ -40,8 +39,6 @@ class CoresetTree:
                 f"non-sequential bucket: expected span starting at "
                 f"{self.last_right + 1}, got {bucket.span_left}"
             )
-        if self.first_left is None:
-            self.first_left = bucket.span_left
         self.last_right = bucket.span_right
         self.n_ingested += 1
 

@@ -75,6 +75,16 @@ class TestPush:
 
 
 class TestQuery:
+    @pytest.mark.parametrize("kind", ["ct", "cc", "rcc"])
+    def test_non_finite_partial_rejected(self, kind):
+        d = make_driver(kind, m=10)
+        pts = np.random.default_rng(5).normal(size=(15, 2))
+        pts[12, 0] = np.nan
+        for p in pts:
+            d.push(p)
+        with pytest.raises(ValueError, match="partial batch points must be finite"):
+            d.query()
+
     def test_zero_points_error(self):
         with pytest.raises(ValueError):
             make_driver().query()

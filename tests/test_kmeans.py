@@ -12,8 +12,13 @@ from streamkm import (
     kmeans_pp,
     lloyd_refine,
     sequential_update,
-    squared_distance,
 )
+from streamkm.kmeans import sq_dists_to_centers
+
+
+def squared_distance(x, y) -> float:
+    """One entry of the library's (n, k) squared-distance matrix."""
+    return float(sq_dists_to_centers([x], [y])[0, 0])
 
 
 def two_cluster_instance(seed=123, n_per=10, gap=100.0):
@@ -38,8 +43,9 @@ class TestSquaredDistance:
         rng = np.random.default_rng(5)
         for _ in range(20):
             x, y = rng.normal(size=(2, 4))
-            assert squared_distance(x, y) == pytest.approx(squared_distance(y, x))
-            assert squared_distance(x, x) == 0.0
+            assert squared_distance(x, y) == squared_distance(y, x)
+            # |x|^2 + |x|^2 - 2 x.x cancels only to rounding error
+            assert squared_distance(x, x) == pytest.approx(0.0, abs=1e-12)
             if not np.array_equal(x, y):
                 assert squared_distance(x, y) > 0.0
 
@@ -207,6 +213,12 @@ class TestBestOfRuns:
         with pytest.raises(ValueError):
             best_of_runs([[1.0, 1]], [1.0], 1, np.random.default_rng(0), runs=0)
 
+    def test_overflow_error(self):
+        # squared distances of 1e200 coordinates overflow, so no run has a cost
+        pts = np.random.default_rng(1).normal(size=(20, 2)) * 1e200
+        with pytest.raises(ValueError, match="finite cost"):
+            best_of_runs(pts, np.ones(20), 2, np.random.default_rng(0), runs=2)
+
 
 class TestSequential:
     def test_first_k_points_seed(self):
@@ -242,6 +254,20 @@ class TestSequential:
             SequentialKMeans(2).center_set()
         with pytest.raises(ValueError):
             sequential_update(CenterSet(np.empty((0, 2)), np.empty(0)), [1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
+    def test_non_finite_point_rejected(self, bad):
+        s = SequentialKMeans(2)
+        with pytest.raises(ValueError, match="not finite"):
+            s.update([bad, 0.0])  # while seeding
+        s.update([0.0, 0.0])
+        s.update([1.0, 1.0])
+        before = s.center_set()
+        with pytest.raises(ValueError, match="not finite"):
+            s.update([bad, 0.0])  # a MacQueen step
+        after = s.center_set()
+        assert np.array_equal(after.centers, before.centers)
+        assert np.array_equal(after.weights, before.weights)
 
     def test_nearest_tie_lowest_index(self):
         cs = CenterSet(np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([1.0, 1.0]))

@@ -46,6 +46,23 @@ class TestInitialize:
         with pytest.raises(ValueError):
             oc.initialize([[1.0, 1.0], [2.0, 2.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
+    def test_non_finite_warmup_rejected(self, bad):
+        oc = make_online(k=2, warmup=4)
+        with pytest.raises(ValueError, match="not finite"):
+            oc.initialize([[0.0, 0.0], [1.0, 0.0], [bad, 0.0], [3.0, 0.0]])
+        assert not oc.initialized
+        assert oc.driver.points_seen == 0
+        # through ingest, the rejected set is dropped and a new one starts
+        oc.ingest([0.0, 0.0])
+        with pytest.raises(ValueError, match="not finite"):
+            for p in ([1.0, 0.0], [bad, 0.0], [3.0, 0.0]):
+                oc.ingest(p)
+        for i in range(4):
+            oc.ingest([float(i), 1.0])
+        assert oc.initialized
+        assert oc.driver.points_seen == 4
+
     def test_ingest_buffers_until_warmup(self):
         oc = make_online(k=2, warmup=4)
         for i in range(3):
@@ -80,6 +97,22 @@ class TestUpdate:
         oc.update([2.0, 0.0])
         assert oc.phi_now == pytest.approx(4.0)  # distance before the move
         assert np.allclose(oc.centers[j], [1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
+    def test_non_finite_point_rejected(self, bad):
+        oc = make_online(k=2, m=10, warmup=4)
+        for p in np.random.default_rng(3).normal(size=(6, 2)):
+            oc.ingest(p)
+        centers, phi, seen = oc.centers.copy(), oc.phi_now, oc.driver.points_seen
+        with pytest.raises(ValueError, match="not finite"):
+            oc.ingest([bad, 0.0])
+        assert np.array_equal(oc.centers, centers)
+        assert oc.phi_now == phi
+        assert oc.driver.points_seen == seen
+        oc.ingest([50.0, 50.0])  # a far point still trips the fallback
+        oc.query()
+        assert oc.last_fell_back
+        assert np.all(np.isfinite(oc.centers))
 
     def test_batching_contract(self):
         m = 16

@@ -1,0 +1,59 @@
+"""Invariants of the cached structures under random query schedules.
+
+Each example streams unit-weight buckets and queries a drawn number of
+times (0, 1 or 2) after each one.  Every answer must carry exactly the
+ingested weight and span [1, N], and the cache may only hold keys in
+prefixsum(N) plus N.  For the recursive cache, after every update each
+nonempty level of a node has a child holding exactly that level's buckets,
+and no other child exists.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from streamkm import Bucket, CachedCoresetTree, CoresetConfig, RecursiveCachedTree
+from streamkm.radix import prefixsum
+
+POINTS_PER_BUCKET = 3
+
+
+def schedules(max_buckets):
+    """Queries made after each bucket, for a drawn stream length."""
+    return st.integers(1, max_buckets).flatmap(
+        lambda n: st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    )
+
+
+def run(structure, queries, seed, after_update=lambda: None):
+    data = np.random.default_rng(seed)
+    for n, count in enumerate(queries, 1):
+        pts = data.normal(size=(POINTS_PER_BUCKET, 2))
+        structure.update(Bucket(pts, np.ones(POINTS_PER_BUCKET), n, n, 0))
+        after_update()
+        for _ in range(count):
+            out = structure.coreset()
+            assert out.span == (1, n)
+            assert out.total_weight() == pytest.approx(POINTS_PER_BUCKET * n, rel=1e-12)
+            assert set(structure.cache_keys()) <= set(prefixsum(n, structure.r)) | {n}
+
+
+def assert_children_mirror_levels(node):
+    levels = {j: len(slot) for j, slot in enumerate(node.tree.slots) if slot}
+    assert {j: child.n for j, child in node.children.items()} == (levels if node.order else {})
+    for child in node.children.values():
+        assert_children_mirror_levels(child)
+
+
+@pytest.mark.parametrize("r", [2, 3, 5])
+@given(queries=schedules(120), seed=st.integers(0, 2**16))
+def test_cc_invariants(r, queries, seed):
+    run(CachedCoresetTree(CoresetConfig(k=2, m=4, seed=seed), r=r), queries, seed)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@given(queries=schedules(300), seed=st.integers(0, 2**16))
+def test_rcc_invariants(order, queries, seed):
+    node = RecursiveCachedTree(CoresetConfig(k=2, m=4, seed=seed), order)
+    run(node, queries, seed, lambda: assert_children_mirror_levels(node))

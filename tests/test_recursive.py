@@ -47,9 +47,9 @@ class TestUpdate:
         for i in range(1, 5):
             node.update(base_bucket(rng, i))
         assert node.level_counts() == [0, 1]
-        assert node.lists[1][0].span == (1, 4)
-        # child at level 0 was re-initialized on the flush
-        assert node.children[0] is None
+        assert node.tree.slots[1][0].span == (1, 4)
+        # child at level 0 was dropped on the flush
+        assert 0 not in node.children
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_child_mirrors_list(self, order):
@@ -58,8 +58,8 @@ class TestUpdate:
         rng = np.random.default_rng(order)
         for i in range(1, 301):
             node.update(base_bucket(rng, i))
-            for lvl, lst in enumerate(node.lists):
-                child = node.children[lvl]
+            for lvl, lst in enumerate(node.tree.slots):
+                child = node.children.get(lvl)
                 if not lst:
                     assert child is None or child.n == 0
                     continue
