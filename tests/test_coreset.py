@@ -39,6 +39,53 @@ class TestBucket:
         assert b.points[0, 0] == 1.0
 
 
+class TestUnion:
+    """build_coreset's union of its inputs, seen on the pass-through path."""
+
+    CFG = CoresetConfig(k=2, m=50, seed=0)
+
+    def union(self, inputs):
+        return build_coreset(self.CFG, inputs, np.random.default_rng(0))
+
+    def test_single_identity(self):
+        rng = np.random.default_rng(0)
+        b = make_bucket(rng, 1, 3, level=1)
+        u = self.union([b])
+        assert np.array_equal(u.points, b.points)
+        assert np.array_equal(u.weights, b.weights)
+        assert u.span == (1, 3)
+        assert u.level == 2
+
+    def test_two_adjacent(self):
+        rng = np.random.default_rng(1)
+        a = make_bucket(rng, 1, 3, n=5, level=1)
+        b = make_bucket(rng, 4, 6, n=7, level=1)
+        u = self.union([b, a])  # order independent
+        assert np.array_equal(u.points, np.concatenate([a.points, b.points]))
+        assert u.span == (1, 6)
+        assert u.level == 2
+        assert u.n_points == 12
+        assert u.total_weight() == pytest.approx(a.total_weight() + b.total_weight())
+
+    def test_gap_rejected(self):
+        rng = np.random.default_rng(2)
+        pair = [make_bucket(rng, 1, 2), make_bucket(rng, 4, 5)]
+        for inputs in (pair, pair[::-1]):
+            with pytest.raises(ValueError, match="disjoint and contiguous"):
+                self.union(inputs)
+
+    def test_overlap_rejected(self):
+        rng = np.random.default_rng(3)
+        pair = [make_bucket(rng, 1, 3), make_bucket(rng, 3, 5)]
+        for inputs in (pair, pair[::-1]):
+            with pytest.raises(ValueError, match="disjoint and contiguous"):
+                self.union(inputs)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one input"):
+            self.union([])
+
+
 class TestBuildCoreset:
     def test_small_input_passes_through(self):
         cfg = CoresetConfig(k=2, m=50, seed=0)
@@ -48,13 +95,6 @@ class TestBuildCoreset:
         assert np.array_equal(out.points, b.points)
         assert np.array_equal(out.weights, b.weights)
         assert out.level == 1
-        # adjacent inputs in any order pass through concatenated in span order
-        lo = make_bucket(rng, 2, 4, n=5, level=1)
-        hi = make_bucket(rng, 5, 7, n=7, level=1)
-        out = build_coreset(cfg, [hi, lo], np.random.default_rng(0))
-        assert np.array_equal(out.points, np.concatenate([lo.points, hi.points]))
-        assert (out.span, out.level, out.n_points) == ((2, 7), 2, 12)
-        assert out.total_weight() == pytest.approx(lo.total_weight() + hi.total_weight())
 
     def test_level_and_span_arithmetic(self):
         cfg = CoresetConfig(k=2, m=8, seed=0)
@@ -97,12 +137,9 @@ class TestBuildCoreset:
     def test_span_validation(self):
         cfg = CoresetConfig(k=2, m=6, seed=0)
         rng = np.random.default_rng(9)
-        for left, right in [((1, 2), (5, 6)), ((1, 2), (4, 5)), ((1, 3), (3, 5))]:
-            # gaps and overlaps, whichever order the inputs come in
-            pair = [make_bucket(rng, *left), make_bucket(rng, *right)]
-            for inputs in (pair, pair[::-1]):
-                with pytest.raises(ValueError, match="disjoint and contiguous"):
-                    build_coreset(cfg, inputs, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="disjoint and contiguous"):
+            build_coreset(cfg, [make_bucket(rng, 1, 2), make_bucket(rng, 5, 6)],
+                          np.random.default_rng(0))
         with pytest.raises(ValueError, match="at least one input"):
             build_coreset(cfg, [], np.random.default_rng(0))
 
