@@ -8,11 +8,12 @@ size-m summary increments the level by one past the deepest input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kmeans import assign_to_centers, d2_sample
+from .kmeans import assign_to_centers
 
 
 @dataclass(frozen=True)
@@ -114,11 +115,18 @@ def _ordered_contiguous(inputs: list[Bucket]) -> list[Bucket]:
 def build_coreset(cfg: CoresetConfig, inputs: list[Bucket], rng: np.random.Generator) -> Bucket:
     """Reduce contiguous buckets to one bucket of at most m weighted points.
 
-    Seeds are drawn from the combined set by weighted D^2 sampling; every
-    input point then contributes its weight to its nearest seed.  When the
-    combined set already has at most m points it passes through unchanged
-    (every point becomes a seed).  The output level is one past the deepest
-    input level either way.
+    Representatives are m points of the combined set drawn in one pass,
+    without replacement, from the lightweight-coreset distribution
+    q(x) = w/(2W) + w*||x - mu||^2 / (2 * sum w*||x - mu||^2), where mu is the
+    weighted mean and W the total weight (only the first term when every
+    point sits at mu).  The draw gives each point the exponential key
+    Exp(1)/q and keeps the m smallest; the kept points stay in stream order.
+    Every input point then contributes its weight to its nearest
+    representative, and a representative that collects none (a duplicate of
+    an earlier one) is dropped, so total weight is conserved exactly.  When
+    the combined set already has at most m points it passes through
+    unchanged.  The output level is one past the deepest input level either
+    way.  Raises ValueError when the squared distances to mu overflow float64.
     """
     ordered = _ordered_contiguous(inputs)
     points = np.concatenate([b.points for b in ordered])
@@ -129,8 +137,18 @@ def build_coreset(cfg: CoresetConfig, inputs: list[Bucket], rng: np.random.Gener
     if len(points) <= cfg.m:
         return Bucket(points.copy(), weights.copy(), span_l, span_r, level)
 
-    seed_idx = d2_sample(points, weights, cfg.m, rng)
-    seeds = points[seed_idx]
+    total = weights.sum()
+    diff = points - weights @ points / total
+    spread = weights * np.einsum("ij,ij->i", diff, diff)
+    spread_sum = spread.sum()
+    if not math.isfinite(spread_sum):
+        raise ValueError("squared distances overflow float64")
+    q = weights / total
+    if spread_sum > 0.0:
+        q = 0.5 * q + 0.5 * spread / spread_sum
+    keys = rng.exponential(size=len(points)) / q
+    seeds = points[np.sort(np.argpartition(keys, cfg.m - 1)[: cfg.m])]
     assign, _ = assign_to_centers(points, seeds)
-    agg = np.bincount(assign, weights=weights, minlength=len(seed_idx))
-    return Bucket(seeds.copy(), agg, span_l, span_r, level)
+    agg = np.bincount(assign, weights=weights, minlength=cfg.m)
+    kept = agg > 0
+    return Bucket(seeds[kept], agg[kept], span_l, span_r, level)

@@ -42,7 +42,12 @@ class StreamClusterer:
         self._dim: int | None = None
 
     def push(self, p) -> None:
-        """Buffer one point; every m-th point flushes a bucket downstream."""
+        """Buffer one point; every m-th point flushes a bucket downstream.
+
+        A batch that Bucket rejects (a point that is not finite) raises and
+        is dropped whole: its m points leave the buffer and points_seen, and
+        the stream goes on with the next point as if they never arrived.
+        """
         p = np.asarray(p, dtype=np.float64)
         if self._dim is None:
             self._dim = p.shape[0]
@@ -51,16 +56,15 @@ class StreamClusterer:
         self._partial.append(p)
         self.points_seen += 1
         if len(self._partial) == self.cfg.m:
-            self.buckets_delivered += 1
-            bucket = Bucket(
-                np.array(self._partial),
-                np.ones(self.cfg.m),
-                self.buckets_delivered,
-                self.buckets_delivered,
-                level=0,
-            )
+            batch, self._partial = np.array(self._partial), []
+            n = self.buckets_delivered + 1
+            try:
+                bucket = Bucket(batch, np.ones(self.cfg.m), n, n, level=0)
+            except ValueError:
+                self.points_seen -= self.cfg.m
+                raise
+            self.buckets_delivered = n
             self.structure.update(bucket)
-            self._partial = []
 
     def query(self) -> CenterSet:
         """Cluster the structure summary plus the partial batch."""

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from streamkm import Bucket, CoresetConfig, build_coreset, clustering_cost
+from streamkm import (
+    Bucket,
+    CachedCoresetTree,
+    CoresetConfig,
+    StreamClusterer,
+    build_coreset,
+    clustering_cost,
+)
 
 
 def make_bucket(rng, span_left, span_right, n=20, level=0, d=2, shift=0.0):
@@ -162,6 +169,74 @@ class TestBuildCoreset:
             cs_cost = clustering_cost(cs.points, probe, cs.weights)
             errors.append(abs(cs_cost - raw_cost) / raw_cost)
         assert np.median(errors) <= 0.15
+
+
+class TestLightweightReduction:
+    """The one-pass draw from q(x) = w/(2W) + w*||x - mu||^2 / (2 * sum w*||x - mu||^2)."""
+
+    def test_total_weight_exact(self):
+        # integer weights sum exactly in float64, whatever the order
+        rng = np.random.default_rng(11)
+        inputs = [
+            Bucket(rng.normal(size=(60, 3)), rng.integers(1, 9, 60).astype(float), i, i, 0)
+            for i in (1, 2, 3)
+        ]
+        out = build_coreset(CoresetConfig(k=2, m=25), inputs, np.random.default_rng(5))
+        assert out.total_weight() == sum(b.total_weight() for b in inputs)
+
+    def test_at_most_m_distinct_positive(self):
+        # a coarse integer grid makes many duplicate coordinates, so some
+        # draws repeat a point and would collect no weight
+        rng = np.random.default_rng(12)
+        b = Bucket(rng.integers(0, 3, size=(200, 2)).astype(float), np.ones(200), 1, 1, 0)
+        for s in range(20):
+            out = build_coreset(CoresetConfig(k=2, m=30), [b], np.random.default_rng(s))
+            assert out.n_points <= 30
+            assert len(np.unique(out.points, axis=0)) == out.n_points
+            assert np.all(out.weights > 0)
+            assert out.total_weight() == 200
+
+    def test_identical_points_collapse(self):
+        b = Bucket(np.full((50, 3), 2.5), np.ones(50), 1, 1, 0)
+        out = build_coreset(CoresetConfig(k=2, m=10), [b], np.random.default_rng(6))
+        assert np.array_equal(out.points, [[2.5, 2.5, 2.5]])
+        assert np.array_equal(out.weights, [50.0])
+
+    def test_inclusion_frequency_tracks_q(self):
+        # with m = 1 a point is kept exactly with probability q(x)
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [3.0, 3.0], [-4.0, 1.0]])
+        weights = np.array([4.0, 1.0, 2.0, 1.0, 0.5])
+        mu = weights @ points / weights.sum()
+        spread = weights * ((points - mu) ** 2).sum(axis=1)
+        q = 0.5 * weights / weights.sum() + 0.5 * spread / spread.sum()
+        b = Bucket(points, weights, 1, 1, 0)
+        cfg = CoresetConfig(k=1, m=1)
+        rng = np.random.default_rng(7)
+        draws = 8000
+        hits = np.zeros(len(points))
+        for _ in range(draws):
+            out = build_coreset(cfg, [b], rng)
+            hits[np.flatnonzero((points == out.points[0]).all(axis=1))] += 1
+        # 4 binomial standard deviations at the largest q
+        assert np.allclose(hits / draws, q, atol=4 * math.sqrt(0.25 / draws))
+
+    @pytest.mark.parametrize("scale, error", [
+        (1e152, None),
+        (1e153, "squared distances overflow float64"),
+        (1e200, "squared distances overflow float64"),
+    ])
+    def test_overflow_named(self, scale, error):
+        cfg = CoresetConfig(k=3, m=30, seed=0)
+        d = StreamClusterer(CachedCoresetTree(cfg, 2, seed=0), cfg, query_seed=1)
+        pts = np.random.default_rng(0).normal(size=(200, 5)) * scale
+        if error is None:
+            for p in pts:
+                d.push(p)
+            assert np.all(np.isfinite(d.query().centers))
+        else:
+            with pytest.raises(ValueError, match=error), np.errstate(over="ignore"):
+                for p in pts:
+                    d.push(p)
 
 
 class TestCoresetConfig:

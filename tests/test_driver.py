@@ -73,6 +73,26 @@ class TestPush:
         with pytest.raises(ValueError, match="points must be finite"):
             d.push(pts[4])
 
+    def test_rejected_flush_drops_the_batch(self):
+        # the batch holding the inf is dropped whole; the next 25 points
+        # flush five buckets numbered from 1 as if it never arrived
+        d = make_driver(m=5)
+        pts = np.random.default_rng(4).normal(size=(30, 2))
+        pts[2, 1] = np.inf
+        for i, p in enumerate(pts):
+            if i == 4:
+                with pytest.raises(ValueError, match="points must be finite"):
+                    d.push(p)
+            else:
+                d.push(p)
+        assert len(d._partial) == 0
+        assert d.points_seen == 25
+        assert d.buckets_delivered == 5
+        assert d.structure.n_ingested == 5
+        parts = d.structure.coreset_buckets()
+        assert (parts[0].span_left, parts[-1].span_right) == (1, 5)
+        assert sum(b.total_weight() for b in parts) == 25
+
 
 class TestQuery:
     @pytest.mark.parametrize("kind", ["ct", "cc", "rcc"])

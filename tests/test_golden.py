@@ -32,40 +32,40 @@ GOLDEN = {
         "009c4a66dd82eee23e3ba661cc853a9b7c90bbec5657136f8cf2158005d9d19c",
     ),
     "mixture-fixed/ct": (
-        "a41c8f4bb610375b7a0e8136234a6992b62ef4a821c846ab2623a5814dff8bd5",
-        "fd5d9e0ff77b68cc38fa1f00251a78f42646df291b8a0eca9bc71ad344c5aaf9",
+        "e4b801d978925eacc432cdea283fb86c84daa7a9865226a1374321baa5b0411b",
+        "a14e1da03ba84b4861b016eb17382eb115f22506fbec8f4aed204713df8e2e21",
     ),
     "mixture-fixed/cc": (
-        "632fa5405db74491d4246643511c4679004e78df1ef5686bd9c1e864800940fd",
-        "929a441128c8ab839969899e7712710366da80f56de2684321d2e00b17372207",
+        "d1f5fca95b782198662b337148145f3f35ebc75abb6c292db3fd62c37d22bb54",
+        "1c678dae0a03bc7b97e2e7f7ac41fa587cec5cca7d299aa1e558bc46df8977f8",
     ),
     "mixture-fixed/rcc": (
-        "b4a9e861ead40bb298988cb0218464626c4bd408141f289da700a44a95237c7c",
-        "52f8fd0718058f3399e2eaf12168ed2e909051763d3a8de5f6796f82ac5822b1",
+        "b63684c857aa1162814a1a6e7389e2cb4984d35ea3ea341a460671e74638b2d4",
+        "6b2b1fdde2445457b08039a07336914ddde79479c11176e9cd9913047af574bb",
     ),
     "mixture-fixed/online": (
-        "6ce936177ccfe1657c8883fac5bb47402d772efd1dca51c79ece2a4d8ae6fd29",
-        "3a89cde357962aeacbd1634bb3d8486a388a4ffc5c3b11214c769bdbc70b0967",
+        "aea44d9a67e8cd04f9350cbddff1a78b829b274b71cc8e077e72259adbc69ddd",
+        "27fd4f65f2cb8e74ab87de2a5f5ed600d61bcf2ddef93d2b6ddd0912313352f6",
     ),
     "drift-poisson/seq": (
         "b80f415ab2fbbc7e8a3c96fdff9b96db2e196e37cd6807a3b7957f58f5149304",
         "36b1c745c593ddc41c8e3b5751e0a1e139feae021b7c3bf526eaf773cf887016",
     ),
     "drift-poisson/ct": (
-        "34e4b8fa327a2a0b84f84888a4307b1b1c23df87e81ee2fe5360b87386b0aafb",
-        "f5014c6c2a6f8ce58cf308dbb5fe2a5e90db1e7e3eb671c13e181d99af4cad01",
+        "631198537b3f13b7e12bdcdbf2588704345d786b8a4e90ee065d304933b2771c",
+        "304b3f9a217279d2d2a40eb49bca11dcf461e47bc153bd72bb45b55ec01295fc",
     ),
     "drift-poisson/cc": (
-        "589833ee6f2c1bfe388eb6d5c9ad6139a855687e1377b3058b17c1bdf8584cef",
-        "d692b8d86cde19243dfeb343da3a068ec1fd6f64332aa9f5141ef1d29272f24c",
+        "34553ace2d5e7c26abf7f098d13646f453179fb548dbcded7bc92e1c49f155ad",
+        "06a899007658eb0632a76e58e712edd26fdb68d1f9a21ba3d2ece54443587517",
     ),
     "drift-poisson/rcc": (
-        "05de3f17b6230d3bb8e6825410c6356c2fe4f4f99c163e3e7cd9d4b3f7d59a90",
-        "3386c6508ed9159aaf04027e106b7e95492eefe40cb1fb842a0ff8573ec57ff4",
+        "c1d3f9a621e05a4c241b866b607d92850119242d7785f9664d8a574764a81504",
+        "e13604336b10c9aba270689342d36dc3898f4ea3687bb091fd39b9f2593b552f",
     ),
     "drift-poisson/online": (
-        "7ca166a8ae6d93892e820c314b1523c6690aefd0e4d008322697474237d7dc61",
-        "3184c8504043c4c2cfc2241c37c3541928b8d627f24e89093c25c94b10e64c00",
+        "cd1db18ae678a387a9e14f06fee659d9f72dfa0e3211d9db66b834f8262ad4ee",
+        "b9ff637c1df0bc7444c7d5dcdfb473f268c895beee2b1d20c44e93cf8ee23644",
     ),
 }
 

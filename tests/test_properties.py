@@ -5,7 +5,9 @@ times (0, 1 or 2) after each one.  Every answer must carry exactly the
 ingested weight and span [1, N], and the cache may only hold keys in
 prefixsum(N) plus N.  For the recursive cache, after every update each
 nonempty level of a node has a child holding exactly that level's buckets,
-and no other child exists.
+and no other child exists.  Through the driver, for every structure and the
+online clusterer, the weight an answer carries is the number of points
+pushed, however the stream is split between pushes and queries.
 """
 
 import numpy as np
@@ -13,7 +15,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from streamkm import Bucket, CachedCoresetTree, CoresetConfig, RecursiveCachedTree
+from streamkm import (
+    Bucket,
+    CachedCoresetTree,
+    CoresetConfig,
+    CoresetTree,
+    OnlineClusterer,
+    RecursiveCachedTree,
+    StreamClusterer,
+)
 from streamkm.radix import prefixsum
 
 POINTS_PER_BUCKET = 3
@@ -57,3 +67,31 @@ def test_cc_invariants(r, queries, seed):
 def test_rcc_invariants(order, queries, seed):
     node = RecursiveCachedTree(CoresetConfig(k=2, m=4, seed=seed), order)
     run(node, queries, seed, lambda: assert_children_mirror_levels(node))
+
+
+DRIVEN = {
+    "ct": lambda cfg: CoresetTree(cfg, 2, rng=np.random.default_rng(cfg.seed)),
+    "cc": lambda cfg: CachedCoresetTree(cfg, 2, seed=cfg.seed),
+    "rcc": lambda cfg: RecursiveCachedTree(cfg, 1, seed=cfg.seed),
+}
+
+
+@pytest.mark.parametrize("algo", ["ct", "cc", "rcc", "online"])
+@given(pushes=st.lists(st.integers(0, 40), min_size=1, max_size=10), seed=st.integers(0, 2**16))
+def test_driver_weight_equals_points_seen(algo, pushes, seed):
+    cfg = CoresetConfig(k=2, m=4, seed=seed)
+    if algo == "online":
+        impl = OnlineClusterer(cfg, refine_runs=1, lloyd_iters=2)
+        push, driver, first_query = impl.ingest, impl.driver, impl.warmup
+    else:
+        impl = driver = StreamClusterer(DRIVEN[algo](cfg), cfg, runs=1, lloyd_iters=2)
+        push, first_query = impl.push, 1
+    data = np.random.default_rng(seed)
+    total = 0
+    for count in pushes:
+        for p in data.normal(size=(count, 2)):
+            push(p)
+        total += count
+        if total >= first_query:
+            assert driver.points_seen == total
+            assert impl.query().weights.sum() == pytest.approx(total, rel=1e-12)

@@ -53,18 +53,18 @@ def rcc_digest(order: int, schedule: str) -> str:
 
 
 PINNED = {
-    "order0/every": "967141aa6b9a0d7dbe223ea98f6c37f2fafde45e5df74a8cbd9fbac216a436df",
-    "order0/sparse": "898334a3e947baf904d2f9a0d402153987c850997a045a1af267bb7c8153117a",
-    "order0/repeat": "e4e990d15f621893fccf78f77dd770494e20e1a9b8adfe6a0f71661ce232c1cb",
-    "order1/every": "8d889072c672401037e78322fdde891562fdfc0436d85c070d9a517c0fdab33e",
-    "order1/sparse": "736c764349c92cd307e26a452f5bc20c5e69ac263eee63af9178773d0051ebf7",
-    "order1/repeat": "b526632704a95f17bd6de2f54df4ae779281243ff219a5d3e2f112fd6a0adf16",
-    "order2/every": "f42f42d51bea8f1c42b722108fbfe7cb14ef77c288b530f3b2b7bb4089026da2",
-    "order2/sparse": "83b087176f23e93e8175ef1cec674feaf377a79badcacc660c3ea375ca09d2fe",
-    "order2/repeat": "262cab4c1f0c91f90f4e0d223de35995a3feb7f5c63d26c9cc1d208550437633",
-    "order3/every": "fb8d9c34471d797a4fb7867363c1d43d8c4f2f1a57e2845bce6b3c01af5b73e6",
-    "order3/sparse": "a9e32c10fa916a4657e226944dff3c99bb349414b13cff162381393c010fb011",
-    "order3/repeat": "fc515e6e55feeb042854c7513ed2fecde5fda056eea11698e7e3525a6606054a",
+    "order0/every": "fd9377ef6bddb4d54b7b8805e2c7bcb386c1cccc42499ec00e2477a3ebfb96e0",
+    "order0/sparse": "b01c22637cd78c9798ae98027ff9d579a9731918946a5d2868ecece7b432f57c",
+    "order0/repeat": "69afb12f89ba982ea22a9644b02f99a671f1dded7c89fb628f3e6c68650ab907",
+    "order1/every": "4380e83994fd07940c814de7c764f8abff17d4ca224d1aca7cd697d35c0b8e34",
+    "order1/sparse": "309a35bf35c2bf0441950bb7a3e8d53a0c11db42dd27f364862f409a1857ac39",
+    "order1/repeat": "0fb5a0d561a517b3b066035c61e6b10a2ab8e89b0dadd3e2ac10802c0e726aff",
+    "order2/every": "11007f0cb6153d4e13c2a423e4768d663de55c8602672a8507e3755f57ce8098",
+    "order2/sparse": "724930dc717024b9c958f426daa96a1cb5611cdb1be0929a6e44ddd4c216f667",
+    "order2/repeat": "b4f56eff92c8534ea4de1210e01168c95408b94a6381125d31bdfd4c016e0aeb",
+    "order3/every": "b545f3064e6f0cf763092b4787765408ca3ee3f81a334712bd6ae73113f1c821",
+    "order3/sparse": "0db121e55ca69015285de31c0561bcba5781970b6c02a6a3c90e2b2ea95430d4",
+    "order3/repeat": "816022aa4a229d83f7c04af7a70f1c0a7eeccd8f9d9f2995191dd43ae8e7e6e8",
 }
 
 
