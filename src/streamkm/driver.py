@@ -44,9 +44,10 @@ class StreamClusterer:
     def push(self, p) -> None:
         """Buffer one point; every m-th point flushes a bucket downstream.
 
-        A batch that Bucket rejects (a point that is not finite) raises and
-        is dropped whole: its m points leave the buffer and points_seen, and
-        the stream goes on with the next point as if they never arrived.
+        A batch that Bucket or the structure's update rejects (a point that
+        is not finite, a reduction that overflows) raises and is dropped
+        whole: its m points leave the buffer and points_seen, and the next
+        bucket takes its number, as if they never arrived.
         """
         p = np.asarray(p, dtype=np.float64)
         if self._dim is None:
@@ -59,12 +60,11 @@ class StreamClusterer:
             batch, self._partial = np.array(self._partial), []
             n = self.buckets_delivered + 1
             try:
-                bucket = Bucket(batch, np.ones(self.cfg.m), n, n, level=0)
-            except ValueError:
+                self.structure.update(Bucket(batch, np.ones(self.cfg.m), n, n, level=0))
+            except Exception:
                 self.points_seen -= self.cfg.m
                 raise
             self.buckets_delivered = n
-            self.structure.update(bucket)
 
     def query(self) -> CenterSet:
         """Cluster the structure summary plus the partial batch."""

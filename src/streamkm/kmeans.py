@@ -5,6 +5,11 @@ weights; centers are (k, d) arrays.  Provides the clustering objective,
 D^2-sampled seeding, Lloyd refinement, a best-of-several-runs wrapper, and
 the one-pass sequential clusterer used as a streaming baseline.
 
+best_of_runs seeds all of its runs in one stacked D^2 pass, each run drawing
+from its own generator, and takes a converged run's cost from Lloyd's last
+assignment instead of a fresh pass.  Both give the same bits as seeding,
+refining and costing each run on its own, so answers do not depend on it.
+
 All randomness flows through an explicit ``numpy.random.Generator`` so that
 identical seeds reproduce identical results bit for bit.
 """
@@ -80,19 +85,15 @@ def clustering_cost(points, centers, weights=None) -> float:
     return float(np.dot(np.asarray(weights, dtype=np.float64), d2))
 
 
-def _draw(prob: np.ndarray, rng: np.random.Generator) -> int:
-    """Index drawn proportionally to prob (not necessarily normalized)."""
-    cum = np.cumsum(prob)
-    idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-    return min(idx, len(prob) - 1)
+def d2_sample(points: np.ndarray, weights: np.ndarray, k: int, rngs) -> list[np.ndarray]:
+    """Indices of up to k seeds for each generator in rngs, all runs at once:
+    the first seed is drawn by weight, the rest by weight times squared
+    distance to the seeds the run has chosen so far.
 
-
-def d2_sample(points: np.ndarray, weights: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Indices of up to k seeds: first drawn by weight, the rest by
-    weight times squared distance to the seeds chosen so far.
-
-    Stops early once every point coincides with a chosen seed, so the
-    result never contains duplicate coordinates.
+    Each run takes one uniform per seed from its own generator, so row r is
+    what a lone run on rngs[r] would draw.  A run stops early, drawing no
+    more, once every point coincides with one of its seeds, so no row
+    contains duplicate coordinates.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64)
@@ -101,26 +102,62 @@ def d2_sample(points: np.ndarray, weights: np.ndarray, k: int, rng: np.random.Ge
         raise ValueError("cannot sample seeds from an empty point set")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-
-    def d2_to(idx: int) -> np.ndarray:
-        diff = points - points[idx]
-        return np.einsum("ij,ij->i", diff, diff)
-
-    chosen = [_draw(weights, rng)]
-    closest = d2_to(chosen[-1])
-    while len(chosen) < k:
-        prob = weights * closest
-        if prob.sum() <= 0.0:
-            break  # every remaining point duplicates a chosen seed
-        chosen.append(_draw(prob, rng))
-        np.minimum(closest, d2_to(chosen[-1]), out=closest)
-    return np.array(chosen, dtype=np.intp)
+    runs = len(rngs)
+    # One contiguous copy of the points per run, so each step's differences
+    # come from a single subtract with the n points as the outer loop.
+    tiled = np.tile(points, (runs, 1, 1))
+    diff = np.empty_like(tiled)
+    d2 = np.empty((runs, n))
+    prob = np.broadcast_to(weights, (runs, n))
+    closest = np.full((runs, n), np.inf)
+    chosen = np.zeros((runs, k), dtype=np.intp)
+    sizes = np.zeros(runs, dtype=np.intp)
+    live = np.ones(runs, dtype=bool)
+    for step in range(k):
+        cum = np.cumsum(prob, axis=1)
+        total = cum[:, -1]
+        if step:
+            live &= ~(total <= 0.0)  # every remaining point duplicates a seed
+            if not live.any():
+                break
+        u = np.array([rng.random() if ok else 0.0 for rng, ok in zip(rngs, live)])
+        # searchsorted(side="right") per row on the nondecreasing cum
+        idx = np.minimum(np.count_nonzero(cum <= (u * total)[:, None], axis=1), n - 1)
+        chosen[:, step] = idx
+        sizes += live
+        if step + 1 < k:
+            np.subtract(tiled, points[idx][:, None], out=diff)
+            np.einsum("rij,rij->ri", diff, diff, out=d2)
+            prob = weights * np.minimum(closest, d2, out=closest)
+    return [row[:size] for row, size in zip(chosen, sizes)]
 
 
 def kmeans_pp(points, weights, k: int, rng: np.random.Generator) -> np.ndarray:
     """D^2-sampling seeding; returns up to k distinct centers drawn from the set."""
-    idx = d2_sample(points, weights, k, rng)
-    return np.atleast_2d(np.asarray(points, dtype=np.float64))[idx].copy()
+    idx = d2_sample(points, weights, k, [rng])[0]
+    return np.atleast_2d(np.asarray(points, dtype=np.float64))[idx]
+
+
+def _lloyd(points, centers, weights, max_iters: int) -> tuple[np.ndarray, float | None]:
+    """Lloyd iterations on centers in place: the centers, and their weighted
+    cost when the loop converged (the last assignment is still theirs), else
+    None."""
+    k, d = centers.shape
+    flat_weighted = (points * weights[:, None]).ravel()
+    cols = np.arange(d)
+    prev_assign = None
+    for _ in range(max_iters):
+        assign, d2 = assign_to_centers(points, centers)
+        if prev_assign is not None and np.array_equal(assign, prev_assign):
+            return centers, float(np.dot(weights, d2))
+        prev_assign = assign
+        wsum = np.bincount(assign, weights=weights, minlength=k)
+        # one bincount over (center, coordinate) bins, each summed in point order
+        bins = (assign[:, None] * d + cols).ravel()
+        sums = np.bincount(bins, weights=flat_weighted, minlength=k * d).reshape(k, d)
+        occupied = wsum > 0
+        centers[occupied] = sums[occupied] / wsum[occupied, None]
+    return centers, None
 
 
 def lloyd_refine(points, centers, weights=None, max_iters: int = 20) -> np.ndarray:
@@ -131,28 +168,8 @@ def lloyd_refine(points, centers, weights=None, max_iters: int = 20) -> np.ndarr
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64)).copy()
-    if weights is None:
-        weights = np.ones(len(points))
-    weights = np.asarray(weights, dtype=np.float64)
-    k = len(centers)
-    weighted_points = points * weights[:, None]
-    prev_assign = None
-    for _ in range(max_iters):
-        assign, _ = assign_to_centers(points, centers)
-        if prev_assign is not None and np.array_equal(assign, prev_assign):
-            break
-        prev_assign = assign
-        wsum = np.bincount(assign, weights=weights, minlength=k)
-        sums = np.stack(
-            [
-                np.bincount(assign, weights=weighted_points[:, j], minlength=k)
-                for j in range(points.shape[1])
-            ],
-            axis=1,
-        )
-        occupied = wsum > 0
-        centers[occupied] = sums[occupied] / wsum[occupied, None]
-    return centers
+    weights = np.ones(len(points)) if weights is None else np.asarray(weights, dtype=np.float64)
+    return _lloyd(points, centers, weights, max_iters)[0]
 
 
 def best_of_runs(
@@ -166,15 +183,15 @@ def best_of_runs(
     """Best of several independent seed-then-refine runs, by cost on the inputs."""
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    sub_seeds = rng.integers(0, 2**63, size=runs)
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    weights = np.asarray(weights, dtype=np.float64)
+    rngs = [np.random.default_rng(int(seed)) for seed in rng.integers(0, 2**63, size=runs)]
     best_centers = None
     best_cost = np.inf
-    for seed in sub_seeds:
-        sub_rng = np.random.default_rng(int(seed))
-        centers = kmeans_pp(points, weights, k, sub_rng)
-        if lloyd_iters > 0:
-            centers = lloyd_refine(points, centers, weights, max_iters=lloyd_iters)
-        cost = clustering_cost(points, centers, weights)
+    for idx in d2_sample(points, weights, k, rngs):
+        centers, cost = _lloyd(points, points[idx], weights, lloyd_iters)
+        if cost is None:
+            cost = clustering_cost(points, centers, weights)
         if cost < best_cost:
             best_cost = cost
             best_centers = centers

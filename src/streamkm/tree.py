@@ -33,27 +33,28 @@ class CoresetTree:
         self.builds = 0  # build_coreset invocations, for amortized-work checks
 
     def update(self, bucket: Bucket) -> None:
-        """Ingest the next bucket and restore the digit invariant."""
+        """Ingest the next bucket and restore the digit invariant.
+
+        The carry runs on local lists and commits only once every merge has
+        succeeded, so a merge that raises leaves the tree as it was.
+        """
         if self.last_right is not None and bucket.span_left != self.last_right + 1:
             raise ValueError(
                 f"non-sequential bucket: expected span starting at "
                 f"{self.last_right + 1}, got {bucket.span_left}"
             )
-        self.last_right = bucket.span_right
-        self.n_ingested += 1
-
-        if not self.slots:
-            self.slots.append([])
-        self.slots[0].append(bucket)
-        j = 0
-        while len(self.slots[j]) >= self.r:
-            merged = build_coreset(self.cfg, self.slots[j], self.rng)
-            self.builds += 1
-            self.slots[j] = []
-            if len(self.slots) == j + 1:
-                self.slots.append([])
-            self.slots[j + 1].append(merged)
+        j, slot = 0, (self.slots[0] if self.slots else []) + [bucket]
+        while len(slot) >= self.r:
+            carry = build_coreset(self.cfg, slot, self.rng)
             j += 1
+            slot = (self.slots[j] if j < len(self.slots) else []) + [carry]
+        self.slots[:j] = [[] for _ in range(j)]
+        if j == len(self.slots):
+            self.slots.append([])
+        self.slots[j] = slot
+        self.builds += j
+        self.n_ingested += 1
+        self.last_right = bucket.span_right
 
     def coreset_buckets(self) -> list[Bucket]:
         """All active buckets in span order (oldest stream segment first)."""

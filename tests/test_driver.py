@@ -94,6 +94,31 @@ class TestPush:
         assert sum(b.total_weight() for b in parts) == 25
 
 
+    @pytest.mark.parametrize("kind", ["ct", "cc"])
+    def test_overflowing_merge_drops_the_batch(self, kind):
+        # 60 points scaled by 1e153, then 90 normal ones: every merge that
+        # overflows raises, the batch that set it off is dropped, and no
+        # slot is left holding r buckets
+        d = make_driver(kind, k=3, m=30)
+        tree = d.structure if kind == "ct" else d.structure.tree
+        data = np.random.default_rng(5)
+        pts = np.concatenate([data.normal(size=(60, 5)) * 1e153, data.normal(size=(90, 5))])
+        raised = 0
+        for p in pts:
+            try:
+                with np.errstate(over="ignore"):
+                    d.push(p)
+            except ValueError as err:
+                assert "overflow" in str(err)
+                raised += 1
+                assert all(len(slot) < tree.r for slot in tree.slots)
+            assert d.points_seen == 30 * d.buckets_delivered + len(d._partial)
+            assert tree.n_ingested == (tree.last_right or 0) == d.buckets_delivered
+        assert raised >= 1
+        with np.errstate(over="ignore"):
+            assert d.query().weights.sum() == pytest.approx(d.points_seen)
+
+
 class TestQuery:
     @pytest.mark.parametrize("kind", ["ct", "cc", "rcc"])
     def test_non_finite_partial_rejected(self, kind):

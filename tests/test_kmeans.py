@@ -1,7 +1,10 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from oracles import brute_force_2means
 
 from streamkm import (
@@ -218,6 +221,52 @@ class TestBestOfRuns:
         pts = np.random.default_rng(1).normal(size=(20, 2)) * 1e200
         with pytest.raises(ValueError, match="finite cost"):
             best_of_runs(pts, np.ones(20), 2, np.random.default_rng(0), runs=2)
+
+
+@st.composite
+def pools(draw):
+    """A weighted pool with repeated points (often fewer distinct than k)."""
+    n = draw(st.integers(1, 80))
+    d = draw(st.integers(1, 20))
+    distinct = draw(st.integers(1, n))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = data.normal(size=(distinct, d)) * draw(st.sampled_from([1e-3, 1.0, 1e4]))
+    pts = base[data.integers(0, distinct, size=n)]
+    w = data.uniform(0.1, 5.0, size=n) if draw(st.booleans()) else np.ones(n)
+    return pts, w, draw(st.integers(1, 20)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestAgainstReference:
+    """Bit equality with one independent seeding, Lloyd loop and cost pass
+    per run (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("runs", [1, 5])
+    @pytest.mark.parametrize("lloyd_iters", [0, 1, 20])
+    @given(pool=pools())
+    def test_best_of_runs(self, runs, lloyd_iters, pool):
+        pts, w, k, seed = pool
+        got = best_of_runs(pts, w, k, np.random.default_rng(seed), runs, lloyd_iters)
+        want = oracles.best_of_runs(pts, w, k, np.random.default_rng(seed), runs, lloyd_iters)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @given(pool=pools())
+    def test_kmeans_pp_and_generator_state(self, pool):
+        pts, w, k, seed = pool
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = kmeans_pp(pts, w, k, rng), oracles.kmeans_pp(pts, w, k, ref_rng)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert len(np.unique(got, axis=0)) == len(got) <= min(k, len(np.unique(pts, axis=0)))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("lloyd_iters", [0, 1, 20])
+    @given(pool=pools(), weighted=st.booleans())
+    def test_lloyd_refine(self, lloyd_iters, pool, weighted):
+        pts, w, k, seed = pool
+        start = oracles.kmeans_pp(pts, w, k, np.random.default_rng(seed))
+        w = w if weighted else None
+        got = lloyd_refine(pts, start, w, max_iters=lloyd_iters)
+        want = oracles.lloyd_refine(pts, start, w, max_iters=lloyd_iters)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSequential:

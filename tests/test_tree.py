@@ -124,3 +124,24 @@ class TestInvariants:
         merged = t.coreset_buckets()[0]
         assert merged.span == (1, 8)
         assert merged.level == 3
+
+
+class TestAtomicUpdate:
+    def test_raising_merge_leaves_tree_unchanged(self):
+        # bucket 4 completes a carry: its slot-0 merge succeeds, then the
+        # slot-1 merge overflows, so neither may be committed
+        cfg = CoresetConfig(k=2, m=8, seed=8)
+        rng = np.random.default_rng(10)
+        t = CoresetTree(cfg, r=2)
+        for i, scale in enumerate([2e153, 1.0, 2e153], 1):
+            t.update(Bucket(rng.normal(size=(8, 5)) * scale, np.ones(8), i, i, 0))
+
+        def state():
+            return [[b.span for b in slot] for slot in t.slots], t.n_ingested, t.last_right
+
+        before = state()
+        assert before == ([[(3, 3)], [(1, 2)]], 3, 3)
+        with pytest.raises(ValueError, match="overflow"), np.errstate(over="ignore"):
+            t.update(Bucket(rng.normal(size=(8, 5)), np.ones(8), 4, 4, 0))
+        assert state() == before
+        assert t.builds == 1
