@@ -91,6 +91,10 @@ def load_points(args) -> np.ndarray:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.runs < 1:
+            raise ValueError(f"--runs must be >= 1, got {args.runs}")
+        if args.lloyd_iters < 0:
+            raise ValueError(f"--lloyd-iters must be >= 0, got {args.lloyd_iters}")
         points = load_points(args)
         if args.poisson_rate is not None:
             sched = QuerySchedule.poisson(args.poisson_rate, seed=args.seed)

@@ -10,6 +10,9 @@ from its own generator, and takes a converged run's cost from Lloyd's last
 assignment instead of a fresh pass.  Both give the same bits as seeding,
 refining and costing each run on its own, so answers do not depend on it.
 
+sequential_update writes the point into a spare row below the centers, so one
+einsum gives every squared norm a full distance pass would, bit for bit.
+
 All randomness flows through an explicit ``numpy.random.Generator`` so that
 identical seeds reproduce identical results bit for bit.
 """
@@ -142,6 +145,8 @@ def _lloyd(points, centers, weights, max_iters: int) -> tuple[np.ndarray, float 
     """Lloyd iterations on centers in place: the centers, and their weighted
     cost when the loop converged (the last assignment is still theirs), else
     None."""
+    if max_iters < 0:
+        raise ValueError(f"Lloyd iterations must be >= 0, got {max_iters}")
     k, d = centers.shape
     flat_weighted = (points * weights[:, None]).ravel()
     cols = np.arange(d)
@@ -224,12 +229,13 @@ class SequentialKMeans:
             if not math.isfinite(p @ p):
                 raise ValueError("point is not finite or its squared norm overflows")
             if self._state is None:
-                self._state = CenterSet(np.zeros((self.k, p.shape[0])), np.zeros(self.k))
+                self._rows = np.zeros((self.k + 1, p.shape[0]))  # spare row for the step
+                self._state = CenterSet(self._rows[:-1], np.zeros(self.k))
             self._state.centers[self._seeded] = p
             self._state.weights[self._seeded] = 1.0
             self._seeded += 1
             return
-        sequential_update(self._state, p)
+        sequential_update(self._state, p, self._rows)
 
     def center_set(self) -> CenterSet:
         """Current centers; before k points arrive, the seeded prefix."""
@@ -242,7 +248,7 @@ class SequentialKMeans:
         return self.k
 
 
-def sequential_update(state: CenterSet, p) -> float:
+def sequential_update(state: CenterSet, p, rows: np.ndarray | None = None) -> float:
     """Single MacQueen step on an initialized CenterSet, in place.
 
     The nearest center moves to the weighted centroid (w*c + p) / (w + 1)
@@ -250,15 +256,25 @@ def sequential_update(state: CenterSet, p) -> float:
     that center before the move.  A point whose squared distance is not
     finite (a NaN or inf coordinate, or one so large that it overflows) is
     rejected before any center moves.
+
+    rows is a (k + 1, d) array, its first k rows the view state.centers, its
+    spare last row free for p (a copy is made without it): one einsum gives
+    |p|^2 and every |c|^2, with the bits sq_dists_to_centers would give.
     """
-    p = np.asarray(p, dtype=np.float64)
-    if state.centers is None or len(state.centers) == 0:
+    centers, k = state.centers, len(state.centers)
+    if k == 0:
         raise ValueError("sequential update requires an initialized center set")
-    d2 = sq_dists_to_centers(p[None, :], state.centers)[0]
-    j = int(np.argmin(d2))
+    p = np.asarray(p, dtype=np.float64)
+    if rows is None:
+        rows = np.concatenate((centers, p[None]))
+    rows[k] = p
+    sq = np.einsum("ij,ij->i", rows, rows)
+    d2 = sq[k] + sq[:k] - 2.0 * (centers @ p)
+    np.maximum(d2, 0.0, out=d2)  # before argmin, so near-ties go to the lowest index
+    j = int(d2.argmin())
     if not math.isfinite(d2[j]):
         raise ValueError(f"point is not finite or its squared distance overflows (d2={d2[j]})")
     w = state.weights[j]
-    state.centers[j] = (w * state.centers[j] + p) / (w + 1.0)
+    centers[j] = (w * centers[j] + p) / (w + 1.0)
     state.weights[j] = w + 1.0
     return float(d2[j])

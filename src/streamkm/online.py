@@ -2,8 +2,9 @@
 coreset tree standing by for recomputation.
 
 Every arriving point nudges its nearest center toward it (one
-sequential_update step) and is also pushed through a StreamClusterer over
-a cached coreset tree, which batches it into buckets in the background.
+sequential_update step, with a spare row for the point beside the centers)
+and is also pushed through a StreamClusterer over a cached coreset tree,
+which batches it into buckets in the background.
 phi_now tracks an estimate of the current clustering cost: it grows by
 the squared distance of each point to its pre-move nearest center.  A
 query normally just returns the maintained centers; only when phi_now
@@ -22,13 +23,7 @@ import numpy as np
 from .cache import CachedCoresetTree
 from .coreset import CoresetConfig, spawn_seed
 from .driver import StreamClusterer
-from .kmeans import (
-    CenterSet,
-    assign_to_centers,
-    clustering_cost,
-    kmeans_pp,
-    sequential_update,
-)
+from .kmeans import CenterSet, assign_to_centers, clustering_cost, kmeans_pp, sequential_update
 
 
 class OnlineClusterer:
@@ -64,7 +59,7 @@ class OnlineClusterer:
             self.cc, cfg, query_seed=self._rng, runs=refine_runs, lloyd_iters=lloyd_iters
         )
 
-        self.centers: np.ndarray | None = None
+        self.centers: np.ndarray | None = None  # first rows of self._rows
         self.center_weights: np.ndarray | None = None
         self.phi_prev = 0.0
         self.phi_now = 0.0
@@ -102,22 +97,24 @@ class OnlineClusterer:
         if not math.isfinite(flat @ flat):
             raise ValueError("warmup points are not finite or their squared norms overflow")
         ones = np.ones(len(s0))
-        self.centers = kmeans_pp(s0, ones, self.cfg.k, self._rng)
-        assign, _ = assign_to_centers(s0, self.centers)
-        self.center_weights = np.bincount(assign, minlength=len(self.centers)).astype(
-            np.float64
-        )
-        cost = clustering_cost(s0, self.centers, ones)
-        self.phi_prev = cost
-        self.phi_now = cost
+        centers = kmeans_pp(s0, ones, self.cfg.k, self._rng)
+        assign, _ = assign_to_centers(s0, centers)
+        self._adopt(centers, np.bincount(assign, minlength=len(centers)).astype(np.float64))
+        self.phi_prev = self.phi_now = clustering_cost(s0, self.centers, ones)
         for p in s0:
             self.driver.push(p)
+
+    def _adopt(self, centers: np.ndarray, weights: np.ndarray) -> None:
+        """Maintain these centers, with a spare row for sequential_update."""
+        self._rows = np.concatenate((centers, centers[:1]))
+        self.centers, self.center_weights = self._rows[:-1], weights
+        self._state = CenterSet(self.centers, weights)
 
     def update(self, p) -> None:
         """Absorb one point: bump phi_now, move the nearest center, buffer."""
         if self.centers is None:
             raise RuntimeError("clusterer not initialized; feed warmup points first")
-        self.phi_now += sequential_update(CenterSet(self.centers, self.center_weights), p)
+        self.phi_now += sequential_update(self._state, p, self._rows)
         self.driver.push(p)
 
     def query(self) -> CenterSet:
@@ -128,7 +125,7 @@ class OnlineClusterer:
         self.last_fell_back = self.phi_now > self.alpha * self.phi_prev
         if self.last_fell_back:
             answer, self.phi_prev = self.driver.query_with_cost()
-            self.centers, self.center_weights = answer.centers, answer.weights
+            self._adopt(answer.centers, answer.weights)
             self.phi_now = self.phi_prev / (1.0 - self.eps)
             self.fallback_count += 1
         return CenterSet(self.centers.copy(), self.center_weights.copy())

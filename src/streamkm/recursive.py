@@ -55,20 +55,28 @@ class RecursiveCachedTree:
         return self.tree.n_ingested
 
     def update(self, bucket: Bucket) -> None:
-        """Ingest a bucket and mirror the level its carry lands in."""
+        """Ingest a bucket and mirror the level its carry lands in; a merge
+        that raises, here or in a child, leaves the node as it was."""
         if self.order == 0:
             self._cc.update(bucket)
             return
+        saved = dict(vars(self.tree), slots=list(self.tree.slots))  # slots is edited in place
         self.tree.update(bucket)
         n = self.tree.n_ingested
         _, c = radix.lowest(n, self.r)
-        self.children = {lvl: ch for lvl, ch in self.children.items() if lvl >= c}
-        if c not in self.children:
+        child = self.children.get(c)
+        if child is None:
             # Fresh sub-seed per (level, flush epoch) keeps re-initialized
             # children independent but reproducible.
             seed = spawn_seed(self._seed_seq, c, n // self.r ** (c + 1))
-            self.children[c] = RecursiveCachedTree(self.cfg, self.order - 1, seed=seed)
-        self.children[c].update(self.tree.slots[c][-1])
+            child = RecursiveCachedTree(self.cfg, self.order - 1, seed=seed)
+        try:
+            child.update(self.tree.slots[c][-1])
+        except Exception:
+            vars(self.tree).update(saved)
+            raise
+        self.children = {lvl: ch for lvl, ch in self.children.items() if lvl >= c}
+        self.children[c] = child
 
     def summary(self) -> list[Bucket]:
         return [self.coreset()] if self.n > 0 else []

@@ -1,8 +1,16 @@
 """Independent reference computations shared by the test modules."""
 
+import math
+
 import numpy as np
 
-from streamkm.kmeans import assign_to_centers, clustering_cost
+from streamkm.kmeans import (
+    CenterSet,
+    assign_to_centers,
+    clustering_cost,
+    sq_dists_to_centers,
+)
+from streamkm.online import OnlineClusterer
 
 
 def brute_force_2means(points, weights):
@@ -153,3 +161,129 @@ def best_of_runs(
     if best_centers is None:
         raise ValueError("no run reached a finite cost; squared distances overflow float64")
     return best_centers
+
+
+def same_bits(x, y) -> bool:
+    """Equal bytes: tells -0.0 from 0.0 and needs no tolerance."""
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+# Reference MacQueen step: one full squared-distance pass per point through
+# sq_dists_to_centers, on a CenterSet built for the call.  The library's
+# spare-row step must reproduce it bit for bit.
+
+
+class SequentialKMeans:
+    """One-pass streaming clusterer.
+
+    The first k stream points become the centers (weight 1 each); every
+    later point takes one sequential_update step.
+    """
+
+    def __init__(self, k: int):
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        self.k = k
+        self._state: CenterSet | None = None
+        self._seeded = 0
+
+    @property
+    def initialized(self) -> bool:
+        return self._seeded >= self.k
+
+    def update(self, p) -> None:
+        if self._seeded < self.k:
+            p = np.asarray(p, dtype=np.float64)
+            if not math.isfinite(p @ p):
+                raise ValueError("point is not finite or its squared norm overflows")
+            if self._state is None:
+                self._state = CenterSet(np.zeros((self.k, p.shape[0])), np.zeros(self.k))
+            self._state.centers[self._seeded] = p
+            self._state.weights[self._seeded] = 1.0
+            self._seeded += 1
+            return
+        sequential_update(self._state, p)
+
+    def center_set(self) -> CenterSet:
+        """Current centers; before k points arrive, the seeded prefix."""
+        if self._seeded == 0:
+            raise RuntimeError("no points seen yet")
+        s = self._seeded
+        return CenterSet(self._state.centers[:s].copy(), self._state.weights[:s].copy())
+
+    def stored_points(self) -> int:
+        return self.k
+
+
+def sequential_update(state: CenterSet, p) -> float:
+    """Single MacQueen step on an initialized CenterSet, in place.
+
+    The nearest center moves to the weighted centroid (w*c + p) / (w + 1)
+    and its weight grows by one.  Returns the squared distance from p to
+    that center before the move.  A point whose squared distance is not
+    finite (a NaN or inf coordinate, or one so large that it overflows) is
+    rejected before any center moves.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if state.centers is None or len(state.centers) == 0:
+        raise ValueError("sequential update requires an initialized center set")
+    d2 = sq_dists_to_centers(p[None, :], state.centers)[0]
+    j = int(np.argmin(d2))
+    if not math.isfinite(d2[j]):
+        raise ValueError(f"point is not finite or its squared distance overflows (d2={d2[j]})")
+    w = state.weights[j]
+    state.centers[j] = (w * state.centers[j] + p) / (w + 1.0)
+    state.weights[j] = w + 1.0
+    return float(d2[j])
+
+
+class OnlineReference(OnlineClusterer):
+    """OnlineClusterer with the reference step: centers and weights are plain
+    attributes, replaced at each recomputation, and every point builds a
+    CenterSet for the step."""
+
+    def initialize(self, s0) -> None:
+        """Seed centers from the warmup set and start the cost estimate there.
+
+        The warmup points also enter the background coreset pipeline so a
+        later fallback summarizes the stream from its very first point.  A
+        set with a point that is not finite, or large enough to overflow a
+        squared norm, is rejected whole; ingest() then starts a new one.
+        """
+        s0 = np.atleast_2d(np.asarray(s0, dtype=np.float64))
+        if len(s0) < self.cfg.k:
+            raise ValueError(f"warmup set has {len(s0)} points, need >= {self.cfg.k}")
+        flat = s0.ravel()
+        if not math.isfinite(flat @ flat):
+            raise ValueError("warmup points are not finite or their squared norms overflow")
+        ones = np.ones(len(s0))
+        self.centers = kmeans_pp(s0, ones, self.cfg.k, self._rng)
+        assign, _ = assign_to_centers(s0, self.centers)
+        self.center_weights = np.bincount(assign, minlength=len(self.centers)).astype(
+            np.float64
+        )
+        cost = clustering_cost(s0, self.centers, ones)
+        self.phi_prev = cost
+        self.phi_now = cost
+        for p in s0:
+            self.driver.push(p)
+
+    def update(self, p) -> None:
+        """Absorb one point: bump phi_now, move the nearest center, buffer."""
+        if self.centers is None:
+            raise RuntimeError("clusterer not initialized; feed warmup points first")
+        self.phi_now += sequential_update(CenterSet(self.centers, self.center_weights), p)
+        self.driver.push(p)
+
+    def query(self) -> CenterSet:
+        """Current centers; recomputed from the coreset only past threshold."""
+        if self.centers is None:
+            raise RuntimeError("clusterer not initialized; feed warmup points first")
+        self.query_count += 1
+        self.last_fell_back = self.phi_now > self.alpha * self.phi_prev
+        if self.last_fell_back:
+            answer, self.phi_prev = self.driver.query_with_cost()
+            self.centers, self.center_weights = answer.centers, answer.weights
+            self.phi_now = self.phi_prev / (1.0 - self.eps)
+            self.fallback_count += 1
+        return CenterSet(self.centers.copy(), self.center_weights.copy())

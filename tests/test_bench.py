@@ -158,6 +158,23 @@ class TestCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algo", ["seq", "ct"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--runs", "0", "--runs must be >= 1"),
+            ("--lloyd-iters", "-1", "--lloyd-iters must be >= 0"),
+        ],
+    )
+    def test_degenerate_options_rejected(self, tmp_path, capsys, algo, flag, value, message):
+        code = main([
+            "--algo", algo, "--gen", "mixture", "--gen-n", "400", "--gen-d", "2", "--k", "2",
+            flag, value, "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_poisson_schedule_runs(self, tmp_path):
         code = main([
             "--algo", "online", "--gen", "drift", "--gen-n", "1000", "--gen-d", "2",

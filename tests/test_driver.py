@@ -118,6 +118,35 @@ class TestPush:
         with np.errstate(over="ignore"):
             assert d.query().weights.sum() == pytest.approx(d.points_seen)
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_overflowing_child_merge_drops_the_batch(self, order):
+        # the same stream through a recursive cache: the merge that overflows
+        # is a child's, and the batch must leave no node a bucket ahead
+        cfg = CoresetConfig(k=3, m=30, seed=0)
+        d = StreamClusterer(RecursiveCachedTree(cfg, order, seed=0), cfg, query_seed=1)
+        data = np.random.default_rng(5)
+        pts = np.concatenate([data.normal(size=(60, 5)) * 1e153, data.normal(size=(90, 5))])
+
+        def check_mirrors(node):
+            for level, child in node.children.items():
+                assert child.n == len(node.tree.slots[level])
+                check_mirrors(child)
+
+        raised = 0
+        for p in pts:
+            try:
+                with np.errstate(over="ignore"):
+                    d.push(p)
+            except ValueError as err:
+                assert "overflow" in str(err)
+                raised += 1
+            assert d.points_seen == 30 * d.buckets_delivered + len(d._partial)
+            assert d.structure.n == (d.structure.tree.last_right or 0) == d.buckets_delivered
+            check_mirrors(d.structure)
+        assert raised >= 1
+        with np.errstate(over="ignore"):
+            assert d.query().weights.sum() == pytest.approx(d.points_seen)
+
 
 class TestQuery:
     @pytest.mark.parametrize("kind", ["ct", "cc", "rcc"])

@@ -216,6 +216,12 @@ class TestBestOfRuns:
         with pytest.raises(ValueError):
             best_of_runs([[1.0, 1]], [1.0], 1, np.random.default_rng(0), runs=0)
 
+    def test_negative_lloyd_iters_error(self):
+        with pytest.raises(ValueError, match="Lloyd iterations must be >= 0"):
+            best_of_runs([[1.0, 1]], [1.0], 1, np.random.default_rng(0), lloyd_iters=-1)
+        with pytest.raises(ValueError, match="Lloyd iterations must be >= 0"):
+            lloyd_refine([[1.0, 1]], [[1.0, 1]], max_iters=-1)
+
     def test_overflow_error(self):
         # squared distances of 1e200 coordinates overflow, so no run has a cost
         pts = np.random.default_rng(1).normal(size=(20, 2)) * 1e200
@@ -323,3 +329,71 @@ class TestSequential:
         sequential_update(cs, [1.0, 0.0])  # equidistant; first center moves
         assert np.allclose(cs.centers[0], [0.5, 0.0])
         assert np.allclose(cs.centers[1], [2.0, 0.0])
+
+
+@st.composite
+def macqueen_streams(draw):
+    """Weighted centers and points for MacQueen steps: copies of a center,
+    midpoints of two centers (exact ties), midpoints nudged by 1e-12 (near
+    ties), plain points, and now and then a point that is not finite."""
+    k, d = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    centers = data.normal(size=(k, d)) * scale
+    if draw(st.booleans()):
+        centers[data.integers(0, k, size=k // 2)] = centers[0]  # duplicate centers
+    weights = data.uniform(1.0, 5.0, size=k) if draw(st.booleans()) else np.ones(k)
+    n = draw(st.integers(1, 60))
+    a, b = centers[data.integers(0, k, size=n)], centers[data.integers(0, k, size=n)]
+    kind = data.integers(0, 5, size=n)
+    pts = data.normal(size=(n, d)) * scale
+    pts[kind == 0] = a[kind == 0]
+    mid = (a + b) / 2.0
+    pts[kind == 1] = mid[kind == 1]
+    pts[kind == 2] = mid[kind == 2] * (1.0 + 1e-12 * data.normal(size=(n, d)))[kind == 2]
+    bad = data.random(n) < 0.05
+    pts[bad, 0] = data.choice([np.nan, np.inf, 1e200], size=int(bad.sum()))
+    return centers, weights, pts
+
+
+class TestStepAgainstReference:
+    """Bit equality of the spare-row MacQueen step with one full distance
+    pass per point (tests/oracles.py), accepts and rejects alike."""
+
+    @given(stream=macqueen_streams())
+    def test_sequential_update(self, stream):
+        centers, weights, pts = stream
+        ref = CenterSet(centers.copy(), weights.copy())
+        rows = np.concatenate((centers, centers[:1]))
+        got = CenterSet(rows[:-1], weights.copy())
+        for i, p in enumerate(pts):
+            with np.errstate(all="ignore"):
+                try:
+                    want = oracles.sequential_update(ref, p)
+                except ValueError:
+                    with pytest.raises(ValueError, match="not finite"):
+                        sequential_update(got, p, rows)
+                else:
+                    # the owner's spare row and the copying call alike
+                    d2 = sequential_update(got, p, rows if i % 2 else None)
+                    assert oracles.same_bits(d2, want)
+            assert oracles.same_bits(got.centers, ref.centers)
+            assert oracles.same_bits(got.weights, ref.weights)
+
+    @given(stream=macqueen_streams())
+    def test_sequential_kmeans(self, stream):
+        centers, _, pts = stream
+        got, ref = SequentialKMeans(len(centers)), oracles.SequentialKMeans(len(centers))
+        for p in np.concatenate((centers, pts)):
+            with np.errstate(all="ignore"):
+                try:
+                    ref.update(p)
+                except ValueError:
+                    with pytest.raises(ValueError, match="not finite"):
+                        got.update(p)
+                else:
+                    got.update(p)
+            if ref._seeded:
+                want, have = ref.center_set(), got.center_set()
+                assert oracles.same_bits(have.centers, want.centers)
+                assert oracles.same_bits(have.weights, want.weights)

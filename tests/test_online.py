@@ -1,5 +1,8 @@
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from streamkm import CoresetConfig, OnlineClusterer, clustering_cost
 from streamkm.data import DriftConfig, drift_stream
@@ -188,3 +191,55 @@ class TestQuery:
             oc.ingest(p)
             assert oc.phi_now >= last
             last = oc.phi_now
+
+
+@st.composite
+def online_streams(draw):
+    """A stream drawn around few or many distinct points (so an answer often
+    has fewer than k centers), random query points and a low or high
+    fallback threshold."""
+    k, d = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    base = data.normal(size=(draw(st.integers(1, 3 * k)), d)) * scale
+    n = draw(st.integers(2 * k, 300))
+    noise = draw(st.sampled_from([0.0, 1e-9, 0.1]))
+    pts = base[data.integers(0, len(base), size=n)] + data.normal(size=(n, d)) * noise * scale
+    asks = data.random(n) < draw(st.sampled_from([0.02, 0.1, 0.5]))
+    cfg = CoresetConfig(k=k, m=draw(st.integers(k, 3 * k)), seed=draw(st.integers(0, 99)))
+    return cfg, draw(st.sampled_from([1.01, 1.2, 2.0])), pts, asks
+
+
+class TestAgainstReference:
+    """Bit equality with the reference step, which builds a CenterSet per
+    point and runs a full distance pass (tests/oracles.py)."""
+
+    def run_both(self, cfg, alpha, pts, asks):
+        got = OnlineClusterer(cfg, alpha=alpha)
+        ref = oracles.OnlineReference(cfg, alpha=alpha)
+        short = 0  # fallback answers with fewer than k centers
+        for p, ask in zip(pts, asks):
+            got.ingest(p)
+            ref.ingest(p)
+            if ask and ref.initialized:
+                have, want = got.query(), ref.query()
+                assert got.last_fell_back == ref.last_fell_back
+                assert oracles.same_bits(have.centers, want.centers)
+                assert oracles.same_bits(have.weights, want.weights)
+                short += ref.last_fell_back and want.k < cfg.k
+            assert oracles.same_bits(got.phi_now, ref.phi_now)
+            assert oracles.same_bits(got.phi_prev, ref.phi_prev)
+            assert got.fallback_count == ref.fallback_count
+        return ref.fallback_count, short
+
+    @given(stream=online_streams())
+    def test_random_streams(self, stream):
+        self.run_both(*stream)
+
+    def test_answer_with_fewer_than_k_centers(self):
+        # two distinct warmup points for k=5, then a third: the estimate
+        # leaves 0, the query falls back, and the pool has 3 distinct points
+        pts = np.array([[0.0, 0.0], [10.0, 0.0]] * 5 + [[0.0, 7.0]] * 3 + [[10.0, 1.0]] * 40)
+        asks = np.ones(len(pts), dtype=bool)
+        fallbacks, short = self.run_both(CoresetConfig(k=5, m=8, seed=3), 1.2, pts, asks)
+        assert fallbacks >= 2 and short >= 1
