@@ -91,10 +91,17 @@ def load_points(args) -> np.ndarray:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.runs < 1:
-            raise ValueError(f"--runs must be >= 1, got {args.runs}")
-        if args.lloyd_iters < 0:
-            raise ValueError(f"--lloyd-iters must be >= 0, got {args.lloyd_iters}")
+        # checked for every --algo, also where that algorithm ignores the option
+        for flag, value, ok, rule in (
+            ("--runs", args.runs, args.runs >= 1, ">= 1"),
+            ("--lloyd-iters", args.lloyd_iters, args.lloyd_iters >= 0, ">= 0"),
+            ("--best-of", args.best_of, args.best_of >= 1, ">= 1"),
+            ("--r", args.r, args.r >= 2, ">= 2"),
+            ("--alpha", args.alpha, args.alpha > 1.0, "> 1"),
+            ("--eps", args.eps, 0.0 < args.eps < 1.0, "in (0, 1)"),
+        ):
+            if not ok:
+                raise ValueError(f"{flag} must be {rule}, got {value}")
         points = load_points(args)
         if args.poisson_rate is not None:
             sched = QuerySchedule.poisson(args.poisson_rate, seed=args.seed)

@@ -10,6 +10,13 @@ from its own generator, and takes a converged run's cost from Lloyd's last
 assignment instead of a fresh pass.  Both give the same bits as seeding,
 refining and costing each run on its own, so answers do not depend on it.
 
+assign_to_centers makes one GEMM for all points, then expands, clips and
+takes each row's nearest center over row tiles of 2^15 distances in one
+reused buffer, so the pass stays in cache and one (n, k) array is allocated
+where there were four.  The elementwise steps keep the full matrix's
+operations and order, and the GEMM is not tiled (a row slice of it can round
+differently), so every index and squared distance keeps its bits.
+
 sequential_update writes the point into a spare row below the centers, so one
 einsum gives every squared norm a full distance pass would, bit for bit.
 
@@ -44,30 +51,45 @@ class CenterSet:
         return CenterSet(self.centers.copy(), self.weights.copy())
 
 
-def sq_dists_to_centers(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n, k) matrix of squared distances; small negatives from the GEMM
-    expansion are clipped to zero."""
+# Distances per tile of assign_to_centers' elementwise pass: 2^15 float64s
+# (256 KiB), so a tile stays in cache through the pass's steps.
+_TILE = 1 << 15
+
+
+def assign_to_centers(points, centers) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-center index and squared distance per point.
+
+    Squared distances are |p|^2 + |c|^2 - 2 p.c, small negatives clipped to
+    zero, with the bits of the full (n, k) matrix (see the module docstring
+    for the tiles).  Ties go to the lowest center index (argmin semantics),
+    which keeps assignments deterministic.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
     if points.shape[1] != centers.shape[1]:
         raise ValueError(
             f"dimension mismatch: points d={points.shape[1]}, centers d={centers.shape[1]}"
         )
+    n, k = len(points), len(centers)
+    if k == 0:
+        raise ValueError("cannot assign points to an empty center set")
     p2 = np.einsum("ij,ij->i", points, points)
     c2 = np.einsum("ij,ij->i", centers, centers)
-    d2 = p2[:, None] + c2[None, :] - 2.0 * (points @ centers.T)
-    return np.maximum(d2, 0.0)
-
-
-def assign_to_centers(points, centers) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-center index and squared distance per point.
-
-    Ties go to the lowest center index (argmin semantics), which keeps
-    assignments deterministic.
-    """
-    d2 = sq_dists_to_centers(points, centers)
-    idx = np.argmin(d2, axis=1)
-    return idx, d2[np.arange(len(d2)), idx]
+    gram = points @ centers.T
+    rows = max(1, _TILE // k)
+    tile = np.empty((min(rows, n), k))
+    rowsel = np.arange(len(tile))
+    idx = np.empty(n, dtype=np.intp)
+    d2 = np.empty(n)
+    for lo in range(0, n, rows):
+        t, g, i = tile[: n - lo], gram[lo : lo + rows], idx[lo : lo + rows]
+        np.add(p2[lo : lo + rows, None], c2, out=t)
+        g *= 2.0
+        t -= g
+        np.maximum(t, 0.0, out=t)
+        t.argmin(axis=1, out=i)
+        d2[lo : lo + rows] = t[rowsel[: len(i)], i]
+    return idx, d2
 
 
 def clustering_cost(points, centers, weights=None) -> float:
@@ -259,7 +281,7 @@ def sequential_update(state: CenterSet, p, rows: np.ndarray | None = None) -> fl
 
     rows is a (k + 1, d) array, its first k rows the view state.centers, its
     spare last row free for p (a copy is made without it): one einsum gives
-    |p|^2 and every |c|^2, with the bits sq_dists_to_centers would give.
+    |p|^2 and every |c|^2, with the bits assign_to_centers would give.
     """
     centers, k = state.centers, len(state.centers)
     if k == 0:

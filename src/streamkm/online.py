@@ -101,6 +101,7 @@ class OnlineClusterer:
         assign, _ = assign_to_centers(s0, centers)
         self._adopt(centers, np.bincount(assign, minlength=len(centers)).astype(np.float64))
         self.phi_prev = self.phi_now = clustering_cost(s0, self.centers, ones)
+        self._mark_batch_start()
         for p in s0:
             self.driver.push(p)
 
@@ -111,11 +112,29 @@ class OnlineClusterer:
         self._state = CenterSet(self.centers, weights)
 
     def update(self, p) -> None:
-        """Absorb one point: bump phi_now, move the nearest center, buffer."""
+        """Absorb one point: bump phi_now, move the nearest center, buffer.
+
+        A flush that raises drops the batch in the driver; the centers,
+        weights and cost estimate then go back to where that batch began.
+        """
         if self.centers is None:
             raise RuntimeError("clusterer not initialized; feed warmup points first")
+        if self.driver.points_seen % self.cfg.m == 0:
+            self._mark_batch_start()
         self.phi_now += sequential_update(self._state, p, self._rows)
-        self.driver.push(p)
+        try:
+            self.driver.push(p)
+        except Exception:
+            # the driver dropped the batch, so forget its points here too
+            centers, weights, self.phi_now, self.phi_prev = self._batch_start
+            self._adopt(centers, weights)
+            raise
+
+    def _mark_batch_start(self) -> None:
+        """Remember the state to go back to if the driver drops this batch."""
+        self._batch_start = (
+            self.centers.copy(), self.center_weights.copy(), self.phi_now, self.phi_prev
+        )
 
     def query(self) -> CenterSet:
         """Current centers; recomputed from the coreset only past threshold."""

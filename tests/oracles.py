@@ -4,12 +4,7 @@ import math
 
 import numpy as np
 
-from streamkm.kmeans import (
-    CenterSet,
-    assign_to_centers,
-    clustering_cost,
-    sq_dists_to_centers,
-)
+from streamkm.kmeans import CenterSet
 from streamkm.online import OnlineClusterer
 
 
@@ -53,6 +48,55 @@ def base_r_digits(n, r):
         n, d = divmod(n, r)
         out.append(d)
     return out
+
+
+# Reference nearest-center kernel: the full (n, k) squared-distance matrix
+# with its four full-size temporaries.  The library's tiled kernel must
+# reproduce it bit for bit, and every reference below runs on it.
+
+
+def sq_dists_to_centers(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) matrix of squared distances; small negatives from the GEMM
+    expansion are clipped to zero."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
+    if points.shape[1] != centers.shape[1]:
+        raise ValueError(
+            f"dimension mismatch: points d={points.shape[1]}, centers d={centers.shape[1]}"
+        )
+    p2 = np.einsum("ij,ij->i", points, points)
+    c2 = np.einsum("ij,ij->i", centers, centers)
+    d2 = p2[:, None] + c2[None, :] - 2.0 * (points @ centers.T)
+    return np.maximum(d2, 0.0)
+
+
+def assign_to_centers(points, centers) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-center index and squared distance per point.
+
+    Ties go to the lowest center index (argmin semantics), which keeps
+    assignments deterministic.
+    """
+    d2 = sq_dists_to_centers(points, centers)
+    idx = np.argmin(d2, axis=1)
+    return idx, d2[np.arange(len(d2)), idx]
+
+
+def clustering_cost(points, centers, weights=None) -> float:
+    """Sum over points of weight times squared distance to the nearest center.
+
+    An empty point set costs 0; an empty center set is an error.
+    """
+    centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
+    if centers.size == 0:
+        raise ValueError("clustering_cost requires at least one center")
+    points = np.asarray(points, dtype=np.float64)
+    if points.size == 0:
+        return 0.0
+    points = np.atleast_2d(points)
+    _, d2 = assign_to_centers(points, centers)
+    if weights is None:
+        return float(np.sum(d2))
+    return float(np.dot(np.asarray(weights, dtype=np.float64), d2))
 
 
 # Reference final clustering: one independent D^2 seeding and one Lloyd loop

@@ -164,6 +164,12 @@ class TestCli:
         [
             ("--runs", "0", "--runs must be >= 1"),
             ("--lloyd-iters", "-1", "--lloyd-iters must be >= 0"),
+            ("--best-of", "0", "--best-of must be >= 1, got 0"),
+            ("--r", "1", "--r must be >= 2, got 1"),
+            ("--alpha", "1", "--alpha must be > 1, got 1.0"),
+            ("--alpha", "nan", "--alpha must be > 1, got nan"),
+            ("--eps", "0", "--eps must be in (0, 1), got 0.0"),
+            ("--eps", "1", "--eps must be in (0, 1), got 1.0"),
         ],
     )
     def test_degenerate_options_rejected(self, tmp_path, capsys, algo, flag, value, message):

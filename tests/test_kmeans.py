@@ -16,12 +16,12 @@ from streamkm import (
     lloyd_refine,
     sequential_update,
 )
-from streamkm.kmeans import sq_dists_to_centers
+from streamkm.kmeans import _TILE, assign_to_centers
 
 
 def squared_distance(x, y) -> float:
-    """One entry of the library's (n, k) squared-distance matrix."""
-    return float(sq_dists_to_centers([x], [y])[0, 0])
+    """The library's squared distance from point x to a lone center y."""
+    return float(assign_to_centers([x], [y])[1][0])
 
 
 def two_cluster_instance(seed=123, n_per=10, gap=100.0):
@@ -273,6 +273,49 @@ class TestAgainstReference:
         got = lloyd_refine(pts, start, w, max_iters=lloyd_iters)
         want = oracles.lloyd_refine(pts, start, w, max_iters=lloyd_iters)
         assert got.tobytes() == want.tobytes()
+
+
+def rows_per_tile(k: int) -> int:
+    return max(1, _TILE // k)
+
+
+@st.composite
+def kernel_values(draw, n, k):
+    """n points and k centers in d dimensions at one scale, up to 1e150;
+    optionally many points duplicate a center or one another."""
+    d = draw(st.integers(1, 20))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e6, 1e150]))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = data.normal(size=(n, d)) * scale
+    centers = data.normal(size=(k, d)) * scale
+    if n and draw(st.booleans()):
+        pts[data.integers(0, n, size=n // 2 + 1)] = centers[data.integers(0, k, size=n // 2 + 1)]
+    if n > 1 and draw(st.booleans()):
+        pts[1::2] = pts[0]
+    return pts, centers
+
+
+class TestKernelAgainstReference:
+    """The tiled nearest-center kernel gives the bytes of the full (n, k)
+    matrix it replaced (tests/oracles.py), across tile boundaries."""
+
+    @pytest.mark.parametrize(
+        "n, k",
+        [(0, 5), (1, 5), (0, 1), (1, 1), (7, 1), (rows_per_tile(1) + 1, 1)]
+        + [(q * rows_per_tile(k) + r, k) for k in (20, 200) for q in (1, 2) for r in (0, 1, 2)]
+        + [(n, _TILE + 1) for n in (0, 1, 2, 3)],
+    )
+    @given(data=st.data())
+    def test_same_bytes(self, n, k, data):
+        pts, centers = data.draw(kernel_values(n, k))
+        idx, d2 = assign_to_centers(pts, centers)
+        want_idx, want_d2 = oracles.assign_to_centers(pts, centers)
+        assert idx.dtype == want_idx.dtype and oracles.same_bits(idx, want_idx)
+        assert d2.dtype == want_d2.dtype and oracles.same_bits(d2, want_d2)
+
+    def test_empty_center_set_error(self):
+        with pytest.raises(ValueError):
+            assign_to_centers(np.zeros((3, 2)), np.empty((0, 2)))
 
 
 class TestSequential:

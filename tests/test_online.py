@@ -117,6 +117,26 @@ class TestUpdate:
         assert oc.last_fell_back
         assert np.all(np.isfinite(oc.centers))
 
+    def test_dropped_batch_leaves_no_trace(self):
+        # merging the two buckets of huge points overflows, so the driver
+        # drops the second batch; the centers must forget its points too
+        oc = make_online(k=3, m=30, warmup=6)
+        data = np.random.default_rng(0)
+        pts = np.concatenate([data.normal(size=(60, 5)) * 1e153, data.normal(size=(90, 5))])
+        dropped = 0
+        for p in pts:
+            try:
+                oc.ingest(p)
+            except ValueError:
+                dropped += 1
+                assert oc.initialized and oc.driver.points_seen % oc.cfg.m == 0
+            if oc.initialized:
+                assert oc.center_weights.sum() == oc.driver.points_seen
+        assert dropped == 1
+        assert oc.driver.points_seen == len(pts) - oc.cfg.m
+        assert np.isfinite(oc.phi_now) and np.all(np.isfinite(oc.centers))
+        assert oc.query().weights.sum() == oc.driver.points_seen
+
     def test_batching_contract(self):
         m = 16
         oc = make_online(k=2, m=m, warmup=4)
