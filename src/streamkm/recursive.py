@@ -16,14 +16,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import radix
-from .cache import CachedCoresetTree, join_prefix, store_pruned
+from .cache import PrefixCache
 from .coreset import Bucket, CoresetConfig, build_coreset, spawn_seed
 from .tree import CoresetTree
 
 MAX_ORDER = 6  # 2**(2**6) buckets per level is already past any realistic stream
 
 
-class RecursiveCachedTree:
+class RecursiveCachedTree(PrefixCache):
     """Nested cached coreset trees with tower-of-two merge degrees."""
 
     def __init__(
@@ -40,25 +40,16 @@ class RecursiveCachedTree:
         self.order = order
         self.r = 2 ** (2**order)
         self._seed_seq = spawn_seed(cfg.seed if seed is None else seed)
-        self.last_query_merge_count = 0
+        self.tree = CoresetTree(cfg, self.r, rng=np.random.default_rng(self._seed_seq))
+        self.cache: dict[int, Bucket] = {}
         self.children: dict[int, RecursiveCachedTree] = {}  # level -> mirror
-        if order == 0:
-            # Order 0 is exactly a degree-2 cached coreset tree.
-            self._cc = CachedCoresetTree(cfg, r=2, seed=self._seed_seq)
-            self.tree, self.cache = self._cc.tree, self._cc.cache
-        else:
-            self.tree = CoresetTree(cfg, self.r, rng=np.random.default_rng(self._seed_seq))
-            self.cache: dict[int, Bucket] = {}
-
-    @property
-    def n(self) -> int:
-        return self.tree.n_ingested
+        self.last_query_merge_count = 0
 
     def update(self, bucket: Bucket) -> None:
         """Ingest a bucket and mirror the level its carry lands in; a merge
         that raises, here or in a child, leaves the node as it was."""
         if self.order == 0:
-            self._cc.update(bucket)
+            self.tree.update(bucket)  # an order-0 node mirrors nothing
             return
         saved = dict(vars(self.tree), slots=list(self.tree.slots))  # slots is edited in place
         self.tree.update(bucket)
@@ -78,53 +69,39 @@ class RecursiveCachedTree:
         self.children = {lvl: ch for lvl, ch in self.children.items() if lvl >= c}
         self.children[c] = child
 
-    def summary(self) -> list[Bucket]:
-        return [self.coreset()] if self.n > 0 else []
-
     def coreset(self) -> Bucket:
-        """Summary of everything ingested by this node."""
+        """Summary of everything ingested by this node.
+
+        Order 0 answers from its own tree.  Above that, the minor part is
+        the answer of the child mirroring the lowest nonempty level, and a
+        fallback merges every child's answer.  The merge count is the
+        query's width plus the counts of the children it asked.
+        """
+        self.last_query_merge_count = 0
         if self.order == 0:
-            out = self._cc.coreset()
-            self.last_query_merge_count = self._cc.last_query_width
-            return out
-        n = self.n
-        if n == 0:
-            raise ValueError("no buckets ingested yet")
-
-        n1 = radix.major(n, self.r)
-        if n1 != 0 and n1 in self.cache:
-            child = self.children[min(self.children)]
-            candidate = join_prefix(self.cache[n1], [child.coreset()])
-            merge_count = 2 + child.last_query_merge_count
+            out = self._cached_query(self._tree_minor, self.tree.coreset_buckets, build_coreset)
         else:
-            candidate = []
-            merge_count = 0
-            for level in sorted(self.children):
-                child = self.children[level]
-                candidate.append(child.coreset())
-                merge_count += child.last_query_merge_count
-            merge_count += len(candidate) if len(candidate) > 1 else 1
+            out = self._cached_query(
+                lambda: self._answers([min(self.children)]),
+                lambda: self._answers(sorted(self.children)),
+                build_coreset,
+            )
+        self.last_query_merge_count += self.last_query_width
+        return out
 
-        if len(candidate) == 1:
-            out = candidate[0].copy()
-        else:
-            out = build_coreset(self.cfg, candidate, self.tree.rng)
-
-        store_pruned(self.cache, n, self.r, out)
-        self.last_query_merge_count = merge_count
-        return out.copy()
+    def _answers(self, levels: list[int]) -> list[Bucket]:
+        """These levels' children's answers, adding their merge counts to this query's."""
+        children = [self.children[level] for level in levels]
+        answers = [child.coreset() for child in children]
+        self.last_query_merge_count += sum(child.last_query_merge_count for child in children)
+        return answers
 
     def bucket_count(self) -> int:
         """Buckets held by this node and all live descendants."""
-        own = self.tree.bucket_count() + len(self.cache)
-        return own + sum(child.bucket_count() for child in self.children.values())
+        return super().bucket_count() + sum(ch.bucket_count() for ch in self.children.values())
 
     def stored_points(self) -> int:
-        own = self.tree.stored_points() + sum(b.n_points for b in self.cache.values())
-        return own + sum(child.stored_points() for child in self.children.values())
-
-    def cache_keys(self) -> list[int]:
-        return sorted(self.cache)
+        return super().stored_points() + sum(ch.stored_points() for ch in self.children.values())
 
     def level_counts(self) -> list[int]:
         return self.tree.level_counts()

@@ -7,8 +7,13 @@ prefixsum(N) plus N.  For the recursive cache, after every update each
 nonempty level of a node has a child holding exactly that level's buckets,
 and no other child exists.  Through the driver, for every structure and the
 online clusterer, the weight an answer carries is the number of points
-pushed, however the stream is split between pushes and queries.
+pushed, however the stream is split between pushes and queries.  A
+query with no update since the last one returns that answer's bytes and
+reduces nothing, for `cc` and for `rcc` at every order.
 """
+
+from contextlib import ExitStack
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -24,6 +29,7 @@ from streamkm import (
     RecursiveCachedTree,
     StreamClusterer,
 )
+from streamkm import cache, recursive, tree
 from streamkm.radix import prefixsum
 
 POINTS_PER_BUCKET = 3
@@ -67,6 +73,41 @@ def test_cc_invariants(r, queries, seed):
 def test_rcc_invariants(order, queries, seed):
     node = RecursiveCachedTree(CoresetConfig(k=2, m=4, seed=seed), order)
     run(node, queries, seed, lambda: assert_children_mirror_levels(node))
+
+
+# name -> (structure, attribute that reads 0 when a query merged nothing)
+REPEATABLE = {
+    **{f"cc/r{r}": (lambda cfg, r=r: CachedCoresetTree(cfg, r=r), "last_query_width")
+       for r in (2, 3, 5)},
+    **{f"rcc/order{o}": (lambda cfg, o=o: RecursiveCachedTree(cfg, o), "last_query_merge_count")
+       for o in range(4)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATABLE))
+@given(queries=schedules(300), seed=st.integers(0, 2**16))
+def test_repeat_query_returns_the_cached_answer(name, queries, seed):
+    make, merged = REPEATABLE[name]
+    structure = make(CoresetConfig(k=2, m=4, seed=seed))
+    data = np.random.default_rng(seed)
+    with ExitStack() as stack:
+        reductions = [
+            stack.enter_context(patch.object(mod, "build_coreset", wraps=mod.build_coreset))
+            for mod in (tree, cache, recursive)
+        ]
+        for n, count in enumerate(queries, 1):
+            pts = data.normal(size=(POINTS_PER_BUCKET, 2))
+            structure.update(Bucket(pts, np.ones(POINTS_PER_BUCKET), n, n, 0))
+            first = structure.coreset() if count else None
+            for _ in range(count - 1):
+                calls, keys = sum(m.call_count for m in reductions), structure.cache_keys()
+                again = structure.coreset()
+                assert sum(m.call_count for m in reductions) == calls
+                assert getattr(structure, merged) == 0
+                assert structure.cache_keys() == keys
+                assert again.points.tobytes() == first.points.tobytes()
+                assert again.weights.tobytes() == first.weights.tobytes()
+                assert (again.span, again.level) == (first.span, first.level)
 
 
 DRIVEN = {

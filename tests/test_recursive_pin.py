@@ -58,13 +58,13 @@ PINNED = {
     "order0/repeat": "69afb12f89ba982ea22a9644b02f99a671f1dded7c89fb628f3e6c68650ab907",
     "order1/every": "4380e83994fd07940c814de7c764f8abff17d4ca224d1aca7cd697d35c0b8e34",
     "order1/sparse": "309a35bf35c2bf0441950bb7a3e8d53a0c11db42dd27f364862f409a1857ac39",
-    "order1/repeat": "0fb5a0d561a517b3b066035c61e6b10a2ab8e89b0dadd3e2ac10802c0e726aff",
+    "order1/repeat": "31310c8e3c4773438e97ad510724f83c13c7ffb2dfac7d6cc3cc6754f0fbfec4",
     "order2/every": "11007f0cb6153d4e13c2a423e4768d663de55c8602672a8507e3755f57ce8098",
-    "order2/sparse": "724930dc717024b9c958f426daa96a1cb5611cdb1be0929a6e44ddd4c216f667",
-    "order2/repeat": "b4f56eff92c8534ea4de1210e01168c95408b94a6381125d31bdfd4c016e0aeb",
+    "order2/sparse": "9305744bf3741cad08323d46ac0b468770f0d572b2c5edc1066ef04147c9cda2",
+    "order2/repeat": "7182dfe8616f5005dfcfb1d4527e0634ab64163698b853e32e56ffcf4555f329",
     "order3/every": "b545f3064e6f0cf763092b4787765408ca3ee3f81a334712bd6ae73113f1c821",
-    "order3/sparse": "0db121e55ca69015285de31c0561bcba5781970b6c02a6a3c90e2b2ea95430d4",
-    "order3/repeat": "816022aa4a229d83f7c04af7a70f1c0a7eeccd8f9d9f2995191dd43ae8e7e6e8",
+    "order3/sparse": "a2351c6a5e5471fdc4610255742a57019f88f305e09a16d95fa6e1d75d49c4a6",
+    "order3/repeat": "b965a6d10044cba1b3f4eba04daa6d95f9c4b92ed186783925df8788409add07",
 }
 
 
