@@ -78,8 +78,8 @@ class DriftConfig:
     """Drifting-cluster stream settings.
 
     Per step every center moves by the drift vector and then emits
-    points_per_step Gaussian points; steps repeat until total_points are
-    produced.
+    points_per_step Gaussian points, the step's points in random order;
+    steps repeat until total_points are produced.
     """
 
     total_points: int
@@ -102,8 +102,9 @@ class DriftConfig:
 def drift_stream(cfg: DriftConfig, return_center_track: bool = False):
     """Drifting mixture stream of exactly cfg.total_points points.
 
-    Full steps emit n_centers * points_per_step points each; the final
-    step is truncated if total_points is not a multiple of that.
+    Full steps emit n_centers * points_per_step points each, shuffled so
+    no stretch of a step comes from a single center; the final step is
+    truncated if total_points is not a multiple of that.
     """
     rng = np.random.default_rng(cfg.seed)
     centers = rng.uniform(0.0, 100.0, size=(cfg.n_centers, cfg.d))
@@ -115,7 +116,8 @@ def drift_stream(cfg: DriftConfig, return_center_track: bool = False):
         centers = centers + cfg.drift
         track.append(centers.copy())
         noise = rng.normal(0.0, cfg.std, size=(per_step, cfg.d))
-        chunks.append(np.repeat(centers, cfg.points_per_step, axis=0) + noise)
+        step = np.repeat(centers, cfg.points_per_step, axis=0) + noise
+        chunks.append(step[rng.permutation(per_step)])
     points = np.concatenate(chunks)[: cfg.total_points]
     if return_center_track:
         return points, np.array(track)

@@ -106,6 +106,18 @@ class TestDrift:
         pts, track = drift_stream(cfg, return_center_track=True)
         assert np.array_equal(track[0], track[-1])
 
+    def test_steps_are_shuffled(self):
+        # Each step holds every center's points in one permutation, so a
+        # stretch of the stream is not a run from a single center.
+        cfg = DriftConfig(total_points=800, drift=np.zeros(2), n_centers=4,
+                          points_per_step=100, std=0.01, seed=6)
+        pts, track = drift_stream(cfg, return_center_track=True)
+        labels = np.argmin(((pts[:, None, :] - track[0][None]) ** 2).sum(axis=2), axis=1)
+        for step in labels.reshape(2, 400):
+            assert np.bincount(step, minlength=4).tolist() == [100] * 4
+            assert len(set(step[:40].tolist())) == 4
+            assert np.count_nonzero(np.diff(step)) > 100
+
     def test_counts_validated(self):
         with pytest.raises(ValueError):
             DriftConfig(total_points=0)

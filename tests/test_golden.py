@@ -48,24 +48,24 @@ GOLDEN = {
         "27fd4f65f2cb8e74ab87de2a5f5ed600d61bcf2ddef93d2b6ddd0912313352f6",
     ),
     "drift-poisson/seq": (
-        "b80f415ab2fbbc7e8a3c96fdff9b96db2e196e37cd6807a3b7957f58f5149304",
-        "36b1c745c593ddc41c8e3b5751e0a1e139feae021b7c3bf526eaf773cf887016",
+        "b23394e74ab60c4435ce66b534e68e25197d46b3661f7472c1df40edd01fdac5",
+        "e4e6a54ce855eae25e4ed43f560df4b945c937ed4c868542ef5eccdaf0527c0e",
     ),
     "drift-poisson/ct": (
-        "631198537b3f13b7e12bdcdbf2588704345d786b8a4e90ee065d304933b2771c",
-        "304b3f9a217279d2d2a40eb49bca11dcf461e47bc153bd72bb45b55ec01295fc",
+        "fe1f2cd90a04cefda08424e1054e2057b8c7e752740abef997eb9a38bb7117f9",
+        "ae80d85a922e9dc225f5bdbd301850d43c072129cee1a6f7878f2a172b2f88d4",
     ),
     "drift-poisson/cc": (
-        "34553ace2d5e7c26abf7f098d13646f453179fb548dbcded7bc92e1c49f155ad",
-        "06a899007658eb0632a76e58e712edd26fdb68d1f9a21ba3d2ece54443587517",
+        "77c70ba5dd36519cd8f20257b584ca37866a33ef6e56dfc277343d641c0d290c",
+        "c18454286bc01fd86827ca1698237fd2cfba6302d3eb6eea1afe5ccc4d1109d4",
     ),
     "drift-poisson/rcc": (
-        "c1d3f9a621e05a4c241b866b607d92850119242d7785f9664d8a574764a81504",
-        "e13604336b10c9aba270689342d36dc3898f4ea3687bb091fd39b9f2593b552f",
+        "5ee15862c8be8bcb42238e4e9e4a613c4d1f049dd15fbce6eead30c073a492b8",
+        "684659a2b1cdb7336f3493b854ae8757c2ea440459a633ad481afbf125cfb514",
     ),
     "drift-poisson/online": (
-        "cd1db18ae678a387a9e14f06fee659d9f72dfa0e3211d9db66b834f8262ad4ee",
-        "b9ff637c1df0bc7444c7d5dcdfb473f268c895beee2b1d20c44e93cf8ee23644",
+        "3109d5aaa4e298a19109675eb4b4a87d50caeb6c9f33345879be37c892f654b1",
+        "c24f5aaa4f700dbdb1457e60fce261d0a8b5a36776871361e54e587e7a6f2a87",
     ),
 }
 
