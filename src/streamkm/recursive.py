@@ -40,10 +40,10 @@ class RecursiveCachedTree(PrefixCache):
         self.order = order
         self.r = 2 ** (2**order)
         self._seed_seq = spawn_seed(cfg.seed if seed is None else seed)
+        self.last_query_merge_count = 0
+        self.children: dict[int, RecursiveCachedTree] = {}  # level -> mirror
         self.tree = CoresetTree(cfg, self.r, rng=np.random.default_rng(self._seed_seq))
         self.cache: dict[int, Bucket] = {}
-        self.children: dict[int, RecursiveCachedTree] = {}  # level -> mirror
-        self.last_query_merge_count = 0
 
     def update(self, bucket: Bucket) -> None:
         """Ingest a bucket and mirror the level its carry lands in; a merge
