@@ -19,7 +19,6 @@ from .online import OnlineClusterer
 from .recursive import RecursiveCachedTree
 from .tree import CoresetTree
 
-ALGORITHMS = ("seq", "ct", "cc", "rcc", "online")
 CSV_HEADER = "algo,seed,point_index,ssq,query_ns,update_ns_cum,mem_bytes"
 
 
@@ -51,7 +50,7 @@ class RunMetrics:
 
 
 def _driven(make_structure):
-    """Table entry for a bucket structure behind a StreamClusterer."""
+    """Factory for a bucket structure behind a StreamClusterer."""
 
     def make(cfg: CoresetConfig, ss, o) -> StreamClusterer:
         return StreamClusterer(
@@ -62,7 +61,7 @@ def _driven(make_structure):
             lloyd_iters=o.lloyd_iters,
         )
 
-    return make, "push", "query"
+    return make
 
 
 def _online(cfg: CoresetConfig, ss, o) -> OnlineClusterer:
@@ -78,33 +77,18 @@ def _online(cfg: CoresetConfig, ss, o) -> OnlineClusterer:
     )
 
 
-# name -> (factory(cfg, seed sequence, options), ingest method, query method)
+# name -> factory(cfg, seed sequence, options); every algorithm it makes
+# answers push(p), query() -> CenterSet and stored_points().
 _FACTORIES = {
-    "seq": (lambda cfg, ss, o: SequentialKMeans(cfg.k), "update", "center_set"),
+    "seq": lambda cfg, ss, o: SequentialKMeans(cfg.k),
     "ct": _driven(lambda cfg, ss, o: CoresetTree(cfg, o.r, rng=np.random.default_rng(ss))),
     "cc": _driven(lambda cfg, ss, o: CachedCoresetTree(cfg, o.r, seed=spawn_seed(ss, 0))),
     "rcc": _driven(
         lambda cfg, ss, o: RecursiveCachedTree(cfg, o.rcc_order, seed=spawn_seed(ss, 0))
     ),
-    "online": (_online, "ingest", "query"),
+    "online": _online,
 }
-
-
-class _Algo:
-    """Uniform ingest/query view over the five streaming algorithms."""
-
-    def __init__(self, name: str, cfg: CoresetConfig, seed_seq, opts):
-        if name not in _FACTORIES:
-            raise ValueError(f"unknown algorithm {name!r}; pick one of {ALGORITHMS}")
-        make, ingest, query = _FACTORIES[name]
-        self.impl = make(cfg, seed_seq, opts)
-        self.ingest = getattr(self.impl, ingest)
-        self.query = getattr(self.impl, query)
-        self.stored_points = self.impl.stored_points
-
-    @property
-    def fallbacks(self) -> int:
-        return getattr(self.impl, "fallback_count", 0)
+ALGORITHMS = tuple(_FACTORIES)
 
 
 @dataclass
@@ -118,7 +102,6 @@ class BenchOptions:
     lloyd_iters: int = 20
     exact_ssq: bool = True
     timing: bool = True
-    final_query: bool = True
 
 
 def run_benchmark(
@@ -129,21 +112,22 @@ def run_benchmark(
     seed: int,
     opts: BenchOptions | None = None,
 ) -> RunMetrics:
-    """Stream `points` into `algo`, querying at the given 1-based indices."""
+    """Stream `points` into `algo`, querying at the given 1-based indices and
+    at the last point."""
+    if algo not in _FACTORIES:
+        raise ValueError(f"unknown algorithm {algo!r}; pick one of {ALGORITHMS}")
     opts = opts or BenchOptions()
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n, d = points.shape
-    alg = _Algo(algo, cfg, np.random.SeedSequence(seed), opts)
-    qset = set(query_indices)
-    if opts.final_query:
-        qset.add(n)
+    alg = _FACTORIES[algo](cfg, np.random.SeedSequence(seed), opts)
+    qset = set(query_indices) | {n}
     metrics = RunMetrics(algo=algo, seed=seed)
     clock = time.perf_counter_ns if opts.timing else (lambda: 0)
 
     update_ns = 0
     for i in range(1, n + 1):
         t0 = clock()
-        alg.ingest(points[i - 1])
+        alg.push(points[i - 1])
         update_ns += clock() - t0
         if i in qset:
             t0 = clock()
@@ -159,7 +143,7 @@ def run_benchmark(
                 QueryRecord(i, ssq, query_ns, update_ns, stored * d * 8)
             )
     metrics.update_ns_total = update_ns
-    metrics.fallbacks = alg.fallbacks
+    metrics.fallbacks = getattr(alg, "fallback_count", 0)
     return metrics
 
 

@@ -133,7 +133,7 @@ class CachedCoresetTree(PrefixCache):
 
     def coreset(self) -> Bucket:
         """Summary of everything ingested, spanning buckets [1, N]."""
-        return self._cached_query(self._tree_minor, self.tree.coreset_buckets, build_coreset)
+        return self._cached_query(self._tree_minor, self.tree.summary, build_coreset)
 
     @property
     def builds(self) -> int:

@@ -9,6 +9,8 @@ best_of_runs seeds all of its runs in one stacked D^2 pass, each run drawing
 from its own generator, and takes a converged run's cost from Lloyd's last
 assignment instead of a fresh pass.  Both give the same bits as seeding,
 refining and costing each run on its own, so answers do not depend on it.
+lloyd_refine returns the refined centers together with their weighted cost
+when the loop converged (None otherwise), which is how best_of_runs gets it.
 
 assign_to_centers makes one GEMM for all points, then expands, clips and
 takes each row's nearest center over row tiles of 2^15 distances in one
@@ -46,9 +48,6 @@ class CenterSet:
     @property
     def k(self) -> int:
         return len(self.centers)
-
-    def copy(self) -> "CenterSet":
-        return CenterSet(self.centers.copy(), self.weights.copy())
 
 
 # Distances per tile of assign_to_centers' elementwise pass: 2^15 float64s
@@ -163,12 +162,21 @@ def kmeans_pp(points, weights, k: int, rng: np.random.Generator) -> np.ndarray:
     return np.atleast_2d(np.asarray(points, dtype=np.float64))[idx]
 
 
-def _lloyd(points, centers, weights, max_iters: int) -> tuple[np.ndarray, float | None]:
-    """Lloyd iterations on centers in place: the centers, and their weighted
-    cost when the loop converged (the last assignment is still theirs), else
-    None."""
+def lloyd_refine(
+    points, centers, weights=None, max_iters: int = 20
+) -> tuple[np.ndarray, float | None]:
+    """Weighted Lloyd iterations from a copy of the given centers.
+
+    Stops after max_iters or as soon as assignments repeat; a cluster that
+    loses all points keeps its previous center.  Cost never increases.
+    Returns the centers and, when the loop converged, their weighted cost
+    (the last assignment is still theirs); else None.
+    """
     if max_iters < 0:
         raise ValueError(f"Lloyd iterations must be >= 0, got {max_iters}")
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    centers = np.atleast_2d(np.asarray(centers, dtype=np.float64)).copy()
+    weights = np.ones(len(points)) if weights is None else np.asarray(weights, dtype=np.float64)
     k, d = centers.shape
     flat_weighted = (points * weights[:, None]).ravel()
     cols = np.arange(d)
@@ -185,18 +193,6 @@ def _lloyd(points, centers, weights, max_iters: int) -> tuple[np.ndarray, float 
         occupied = wsum > 0
         centers[occupied] = sums[occupied] / wsum[occupied, None]
     return centers, None
-
-
-def lloyd_refine(points, centers, weights=None, max_iters: int = 20) -> np.ndarray:
-    """Weighted Lloyd iterations from the given centers.
-
-    Stops after max_iters or as soon as assignments repeat; a cluster that
-    loses all points keeps its previous center.  Cost never increases.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    centers = np.atleast_2d(np.asarray(centers, dtype=np.float64)).copy()
-    weights = np.ones(len(points)) if weights is None else np.asarray(weights, dtype=np.float64)
-    return _lloyd(points, centers, weights, max_iters)[0]
 
 
 def best_of_runs(
@@ -216,7 +212,7 @@ def best_of_runs(
     best_centers = None
     best_cost = np.inf
     for idx in d2_sample(points, weights, k, rngs):
-        centers, cost = _lloyd(points, points[idx], weights, lloyd_iters)
+        centers, cost = lloyd_refine(points, points[idx], weights, lloyd_iters)
         if cost is None:
             cost = clustering_cost(points, centers, weights)
         if cost < best_cost:
@@ -231,7 +227,7 @@ class SequentialKMeans:
     """One-pass streaming clusterer.
 
     The first k stream points become the centers (weight 1 each); every
-    later point takes one sequential_update step.
+    later point takes one MacQueen step (update).
     """
 
     def __init__(self, k: int):
@@ -241,25 +237,26 @@ class SequentialKMeans:
         self._state: CenterSet | None = None
         self._seeded = 0
 
-    @property
-    def initialized(self) -> bool:
-        return self._seeded >= self.k
+    def push(self, p) -> None:
+        """Stream entry point: seeds with the first k points, then updates."""
+        if self._seeded == self.k:
+            self.update(p)  # through self, so benchmarks/tracing.py's patch sees each step
+            return
+        p = np.asarray(p, dtype=np.float64)
+        if not math.isfinite(p @ p):
+            raise ValueError("point is not finite or its squared norm overflows")
+        if self._state is None:
+            self._rows = np.zeros((self.k + 1, p.shape[0]))  # spare row for the step
+            self._state = CenterSet(self._rows[:-1], np.zeros(self.k))
+        self._state.centers[self._seeded] = p
+        self._state.weights[self._seeded] = 1.0
+        self._seeded += 1
 
     def update(self, p) -> None:
-        if self._seeded < self.k:
-            p = np.asarray(p, dtype=np.float64)
-            if not math.isfinite(p @ p):
-                raise ValueError("point is not finite or its squared norm overflows")
-            if self._state is None:
-                self._rows = np.zeros((self.k + 1, p.shape[0]))  # spare row for the step
-                self._state = CenterSet(self._rows[:-1], np.zeros(self.k))
-            self._state.centers[self._seeded] = p
-            self._state.weights[self._seeded] = 1.0
-            self._seeded += 1
-            return
+        """One MacQueen step on the k seeded centers."""
         sequential_update(self._state, p, self._rows)
 
-    def center_set(self) -> CenterSet:
+    def query(self) -> CenterSet:
         """Current centers; before k points arrive, the seeded prefix."""
         if self._seeded == 0:
             raise RuntimeError("no points seen yet")

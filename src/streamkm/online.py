@@ -72,7 +72,7 @@ class OnlineClusterer:
     def initialized(self) -> bool:
         return self.centers is not None
 
-    def ingest(self, p) -> None:
+    def push(self, p) -> None:
         """Stream entry point: buffers the warmup prefix, then updates."""
         if self.centers is None:
             self._warm.append(np.asarray(p, dtype=np.float64))
@@ -88,7 +88,7 @@ class OnlineClusterer:
         The warmup points also enter the background coreset pipeline so a
         later fallback summarizes the stream from its very first point.  A
         set with a point that is not finite, or large enough to overflow a
-        squared norm, is rejected whole; ingest() then starts a new one.
+        squared norm, is rejected whole; push() then starts a new one.
         """
         s0 = np.atleast_2d(np.asarray(s0, dtype=np.float64))
         if len(s0) < self.cfg.k:

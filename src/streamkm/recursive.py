@@ -79,7 +79,7 @@ class RecursiveCachedTree(PrefixCache):
         """
         self.last_query_merge_count = 0
         if self.order == 0:
-            out = self._cached_query(self._tree_minor, self.tree.coreset_buckets, build_coreset)
+            out = self._cached_query(self._tree_minor, self.tree.summary, build_coreset)
         else:
             out = self._cached_query(
                 lambda: self._answers([min(self.children)]),

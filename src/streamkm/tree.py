@@ -56,15 +56,12 @@ class CoresetTree:
         self.n_ingested += 1
         self.last_right = bucket.span_right
 
-    def coreset_buckets(self) -> list[Bucket]:
+    def summary(self) -> list[Bucket]:
         """All active buckets in span order (oldest stream segment first)."""
         out: list[Bucket] = []
         for slot in reversed(self.slots):
             out.extend(slot)
         return out
-
-    def summary(self) -> list[Bucket]:
-        return self.coreset_buckets()
 
     def max_level(self) -> int:
         """Highest nonempty slot index."""
@@ -82,4 +79,4 @@ class CoresetTree:
         return sum(b.n_points for slot in self.slots for b in slot)
 
     def total_weight(self) -> float:
-        return float(sum(b.total_weight() for b in self.coreset_buckets()))
+        return float(sum(b.total_weight() for b in self.summary()))

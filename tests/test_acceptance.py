@@ -80,7 +80,7 @@ def test_criterion_02_tree_invariants():
             assert counts[: len(digits)] == digits, f"digit invariant at N={i}"
             assert all(c == 0 for c in counts[len(digits):])
             assert tree.max_level() <= int(math.log(i, r) + 1e-9)
-            buckets = tree.coreset_buckets()
+            buckets = tree.summary()
             assert buckets[0].span_left == 1 and buckets[-1].span_right == i
             assert all(
                 b.span_left == a.span_right + 1 for a, b in zip(buckets, buckets[1:])
@@ -254,7 +254,7 @@ def test_criterion_06_online_upper_bound():
             seed=seed + 1000,
         )
         for i, p in enumerate(stream, 1):
-            oc.ingest(p)
+            oc.push(p)
             if i % 500 == 0:
                 should_fall = oc.phi_now > oc.alpha * oc.phi_prev
                 oc.query()
@@ -357,7 +357,7 @@ def test_criterion_09_query_cost_separation(mixture_50k):
         chunk = points[(i - 1) * m : i * m]
         ct.update(Bucket(chunk, np.ones(m), i, i, 0))
         cc.update(Bucket(chunk.copy(), np.ones(m), i, i, 0))
-        ct_widths.append(len(ct.coreset_buckets()))
+        ct_widths.append(len(ct.summary()))
         cc.coreset()
         cc_widths.append(cc.last_query_width)
         assert cc_widths[-1] <= r

@@ -43,16 +43,16 @@ class TestRunBenchmark:
         assert {r.mem_bytes for r in m.records} == {4 * 2 * 8}
 
     def test_ssq_matches_independent_recomputation(self, small_stream):
-        from streamkm.bench import _Algo
+        from streamkm.bench import _FACTORIES
         from streamkm.kmeans import clustering_cost
 
         cfg = CoresetConfig(k=4, m=50, seed=3)
         m = run_benchmark("ct", small_stream, [700], cfg, seed=3, opts=opts())
         rec = m.records[0]
         # replay the same run to the same query point
-        alg = _Algo("ct", cfg, np.random.SeedSequence(3), opts())
+        alg = _FACTORIES["ct"](cfg, np.random.SeedSequence(3), opts())
         for p in small_stream[:700]:
-            alg.ingest(p)
+            alg.push(p)
         centers = alg.query().centers
         assert clustering_cost(small_stream[:700], centers) == pytest.approx(rec.ssq)
 

@@ -119,7 +119,7 @@ class TestCacheDiscipline:
         cc.cache.clear()  # simulate a cold cache
         out = cc.coreset()
         assert cc.last_query_path == "fallback"
-        assert cc.last_query_width == len(cc.tree.coreset_buckets())
+        assert cc.last_query_width == len(cc.tree.summary())
         assert out.span == (1, 11)
         assert out.total_weight() == pytest.approx(44.0, rel=1e-9)
         # fallback result still warms the cache for the next query
@@ -169,7 +169,7 @@ def test_structure_matches_plain_tree_when_cache_disabled_every_query():
         ct.update(Bucket(pts_b, np.ones(4), i, i, 0))
         cc.cache.clear()
         cc.coreset()
-        assert cc.last_query_width == len(ct.coreset_buckets())
+        assert cc.last_query_width == len(ct.summary())
 
 
 def _respan(b, left, right):

@@ -89,7 +89,7 @@ class TestPush:
         assert d.points_seen == 25
         assert d.buckets_delivered == 5
         assert d.structure.n_ingested == 5
-        parts = d.structure.coreset_buckets()
+        parts = d.structure.summary()
         assert (parts[0].span_left, parts[-1].span_right) == (1, 5)
         assert sum(b.total_weight() for b in parts) == 25
 
@@ -195,7 +195,7 @@ class TestQuery:
         for p in rng.normal(size=(43, 2)):
             d.push(p)
         if kind == "ct":
-            parts = d.structure.coreset_buckets()
+            parts = d.structure.summary()
         else:
             parts = [d.structure.coreset()]
         total = sum(b.total_weight() for b in parts) + len(d._partial)

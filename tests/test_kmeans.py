@@ -131,7 +131,7 @@ class TestKmeansPP:
         costs = []
         for s in range(200):
             rng = np.random.default_rng(s)
-            c = lloyd_refine(pts, kmeans_pp(pts, w, 2, rng), w)
+            c = lloyd_refine(pts, kmeans_pp(pts, w, 2, rng), w)[0]
             costs.append(clustering_cost(pts, c, w))
         assert np.mean(costs) <= 1.1 * opt
 
@@ -157,12 +157,12 @@ class TestLloyd:
     def test_fixed_point(self):
         pts = np.array([[0.0, 0], [2, 0], [10, 0], [12, 0]])
         centroids = np.array([[1.0, 0], [11.0, 0]])
-        out = lloyd_refine(pts, centroids)
+        out = lloyd_refine(pts, centroids)[0]
         assert np.allclose(out, centroids)
 
     def test_single_center_converges_to_centroid(self):
         pts = np.array([[0.0, 0], [2.0, 0]])
-        out = lloyd_refine(pts, [[0.5, 0.0]])
+        out = lloyd_refine(pts, [[0.5, 0.0]])[0]
         assert np.allclose(out, [[1.0, 0.0]])
         assert clustering_cost(pts, out) == pytest.approx(2.0)
 
@@ -173,7 +173,7 @@ class TestLloyd:
         centers = kmeans_pp(pts, w, 4, rng)
         prev = clustering_cost(pts, centers, w)
         for _ in range(10):
-            centers = lloyd_refine(pts, centers, w, max_iters=1)
+            centers = lloyd_refine(pts, centers, w, max_iters=1)[0]
             cur = clustering_cost(pts, centers, w)
             assert cur <= prev * (1 + 1e-12)
             prev = cur
@@ -181,8 +181,20 @@ class TestLloyd:
     def test_empty_cluster_keeps_center(self):
         pts = np.array([[0.0, 0], [1.0, 0]])
         # far-away center never wins a point and must not move
-        out = lloyd_refine(pts, [[0.4, 0.0], [99.0, 0.0]], max_iters=5)
+        out = lloyd_refine(pts, [[0.4, 0.0], [99.0, 0.0]], max_iters=5)[0]
         assert np.allclose(out[1], [99.0, 0.0])
+
+    def test_cost_only_when_converged(self):
+        rng = np.random.default_rng(4)
+        pts = rng.normal(size=(40, 2))
+        w = rng.uniform(0.5, 2.0, 40)
+        start = kmeans_pp(pts, w, 3, rng)
+        kept = start.copy()
+        out, cost = lloyd_refine(pts, start, w, max_iters=50)
+        assert np.array_equal(start, kept)  # refines a copy
+        assert cost == clustering_cost(pts, out, w)
+        out, cost = lloyd_refine(pts, start, w, max_iters=0)
+        assert np.array_equal(out, start) and cost is None
 
 
 class TestBestOfRuns:
@@ -192,7 +204,7 @@ class TestBestOfRuns:
         out = best_of_runs(pts, w, 2, rng, runs=1, lloyd_iters=20)
         sub_seed = int(np.random.default_rng(17).integers(0, 2**63, size=1)[0])
         rng_single = np.random.default_rng(sub_seed)
-        expect = lloyd_refine(pts, kmeans_pp(pts, w, 2, rng_single), w, max_iters=20)
+        expect = lloyd_refine(pts, kmeans_pp(pts, w, 2, rng_single), w, max_iters=20)[0]
         assert np.array_equal(out, expect)
 
     def test_min_contract(self):
@@ -203,7 +215,7 @@ class TestBestOfRuns:
         best_cost = clustering_cost(pts, best, w)
         for s in sub_seeds:
             r = np.random.default_rng(int(s))
-            c = lloyd_refine(pts, kmeans_pp(pts, w, 2, r), w, max_iters=20)
+            c = lloyd_refine(pts, kmeans_pp(pts, w, 2, r), w, max_iters=20)[0]
             assert best_cost <= clustering_cost(pts, c, w) + 1e-12
 
     def test_reaches_brute_force_optimum(self):
@@ -270,7 +282,7 @@ class TestAgainstReference:
         pts, w, k, seed = pool
         start = oracles.kmeans_pp(pts, w, k, np.random.default_rng(seed))
         w = w if weighted else None
-        got = lloyd_refine(pts, start, w, max_iters=lloyd_iters)
+        got = lloyd_refine(pts, start, w, max_iters=lloyd_iters)[0]
         want = oracles.lloyd_refine(pts, start, w, max_iters=lloyd_iters)
         assert got.tobytes() == want.tobytes()
 
@@ -321,17 +333,17 @@ class TestKernelAgainstReference:
 class TestSequential:
     def test_first_k_points_seed(self):
         s = SequentialKMeans(2)
-        s.update([1.0, 0.0])
-        s.update([5.0, 0.0])
-        cs = s.center_set()
+        s.push([1.0, 0.0])
+        s.push([5.0, 0.0])
+        cs = s.query()
         assert np.array_equal(cs.centers, [[1, 0], [5, 0]])
         assert np.array_equal(cs.weights, [1, 1])
 
     def test_point_on_center(self):
         s = SequentialKMeans(1)
-        s.update([3.0, 3.0])
-        s.update([3.0, 3.0])
-        cs = s.center_set()
+        s.push([3.0, 3.0])
+        s.push([3.0, 3.0])
+        cs = s.query()
         assert np.array_equal(cs.centers, [[3, 3]])
         assert cs.weights[0] == 2.0
 
@@ -349,7 +361,7 @@ class TestSequential:
 
     def test_uninitialized_error(self):
         with pytest.raises(RuntimeError):
-            SequentialKMeans(2).center_set()
+            SequentialKMeans(2).query()
         with pytest.raises(ValueError):
             sequential_update(CenterSet(np.empty((0, 2)), np.empty(0)), [1.0, 1.0])
 
@@ -357,13 +369,13 @@ class TestSequential:
     def test_non_finite_point_rejected(self, bad):
         s = SequentialKMeans(2)
         with pytest.raises(ValueError, match="not finite"):
-            s.update([bad, 0.0])  # while seeding
-        s.update([0.0, 0.0])
-        s.update([1.0, 1.0])
-        before = s.center_set()
+            s.push([bad, 0.0])  # while seeding
+        s.push([0.0, 0.0])
+        s.push([1.0, 1.0])
+        before = s.query()
         with pytest.raises(ValueError, match="not finite"):
-            s.update([bad, 0.0])  # a MacQueen step
-        after = s.center_set()
+            s.push([bad, 0.0])  # a MacQueen step
+        after = s.query()
         assert np.array_equal(after.centers, before.centers)
         assert np.array_equal(after.weights, before.weights)
 
@@ -433,10 +445,10 @@ class TestStepAgainstReference:
                     ref.update(p)
                 except ValueError:
                     with pytest.raises(ValueError, match="not finite"):
-                        got.update(p)
+                        got.push(p)
                 else:
-                    got.update(p)
+                    got.push(p)
             if ref._seeded:
-                want, have = ref.center_set(), got.center_set()
+                want, have = ref.center_set(), got.query()
                 assert oracles.same_bits(have.centers, want.centers)
                 assert oracles.same_bits(have.weights, want.weights)

@@ -57,21 +57,21 @@ class TestInitialize:
         assert not oc.initialized
         assert oc.driver.points_seen == 0
         # through ingest, the rejected set is dropped and a new one starts
-        oc.ingest([0.0, 0.0])
+        oc.push([0.0, 0.0])
         with pytest.raises(ValueError, match="not finite"):
             for p in ([1.0, 0.0], [bad, 0.0], [3.0, 0.0]):
-                oc.ingest(p)
+                oc.push(p)
         for i in range(4):
-            oc.ingest([float(i), 1.0])
+            oc.push([float(i), 1.0])
         assert oc.initialized
         assert oc.driver.points_seen == 4
 
     def test_ingest_buffers_until_warmup(self):
         oc = make_online(k=2, warmup=4)
         for i in range(3):
-            oc.ingest([float(i), 0.0])
+            oc.push([float(i), 0.0])
             assert not oc.initialized
-        oc.ingest([3.0, 0.0])
+        oc.push([3.0, 0.0])
         assert oc.initialized
 
 
@@ -105,14 +105,14 @@ class TestUpdate:
     def test_non_finite_point_rejected(self, bad):
         oc = make_online(k=2, m=10, warmup=4)
         for p in np.random.default_rng(3).normal(size=(6, 2)):
-            oc.ingest(p)
+            oc.push(p)
         centers, phi, seen = oc.centers.copy(), oc.phi_now, oc.driver.points_seen
         with pytest.raises(ValueError, match="not finite"):
-            oc.ingest([bad, 0.0])
+            oc.push([bad, 0.0])
         assert np.array_equal(oc.centers, centers)
         assert oc.phi_now == phi
         assert oc.driver.points_seen == seen
-        oc.ingest([50.0, 50.0])  # a far point still trips the fallback
+        oc.push([50.0, 50.0])  # a far point still trips the fallback
         oc.query()
         assert oc.last_fell_back
         assert np.all(np.isfinite(oc.centers))
@@ -126,7 +126,7 @@ class TestUpdate:
         dropped = 0
         for p in pts:
             try:
-                oc.ingest(p)
+                oc.push(p)
             except ValueError:
                 dropped += 1
                 assert oc.initialized and oc.driver.points_seen % oc.cfg.m == 0
@@ -167,7 +167,7 @@ class TestQuery:
         )
         oc = make_online(k=2, m=20, alpha=1.2, warmup=4, seed=5)
         for i, p in enumerate(stream, 1):
-            oc.ingest(p)
+            oc.push(p)
             if i % 25 == 0 and oc.initialized:
                 should_fall = oc.phi_now > oc.alpha * oc.phi_prev
                 phi_prev_before = oc.phi_prev
@@ -195,7 +195,7 @@ class TestQuery:
         stream = drift_stream(cfg)
         oc = make_online(k=5, m=200, alpha=1.2, warmup=10, seed=7)
         for i, p in enumerate(stream, 1):
-            oc.ingest(p)
+            oc.push(p)
             if i % 500 == 0:
                 oc.query()
                 true_cost = clustering_cost(stream[:i], oc.centers)
@@ -205,10 +205,10 @@ class TestQuery:
         rng = np.random.default_rng(8)
         oc = make_online(k=2, m=20, warmup=4, seed=9)
         for p in rng.normal(size=(4, 2)):
-            oc.ingest(p)
+            oc.push(p)
         last = oc.phi_now
         for p in rng.normal(size=(50, 2)) * 5:
-            oc.ingest(p)
+            oc.push(p)
             assert oc.phi_now >= last
             last = oc.phi_now
 
@@ -239,8 +239,8 @@ class TestAgainstReference:
         ref = oracles.OnlineReference(cfg, alpha=alpha)
         short = 0  # fallback answers with fewer than k centers
         for p, ask in zip(pts, asks):
-            got.ingest(p)
-            ref.ingest(p)
+            got.push(p)
+            ref.push(p)
             if ask and ref.initialized:
                 have, want = got.query(), ref.query()
                 assert got.last_fell_back == ref.last_fell_back

@@ -123,7 +123,7 @@ def test_driver_weight_equals_points_seen(algo, pushes, seed):
     cfg = CoresetConfig(k=2, m=4, seed=seed)
     if algo == "online":
         impl = OnlineClusterer(cfg, refine_runs=1, lloyd_iters=2)
-        push, driver, first_query = impl.ingest, impl.driver, impl.warmup
+        push, driver, first_query = impl.push, impl.driver, impl.warmup
     else:
         impl = driver = StreamClusterer(DRIVEN[algo](cfg), cfg, runs=1, lloyd_iters=2)
         push, first_query = impl.push, 1

@@ -29,26 +29,26 @@ class TestTraces:
     def test_after_4(self):
         t = CoresetTree(self.cfg, r=3)
         feed(t, 4, self.rng)
-        assert [b.span for b in t.coreset_buckets()] == [(1, 3), (4, 4)]
-        assert [b.level for b in t.coreset_buckets()] == [1, 0]
+        assert [b.span for b in t.summary()] == [(1, 3), (4, 4)]
+        assert [b.level for b in t.summary()] == [1, 0]
 
     def test_after_6(self):
         t = CoresetTree(self.cfg, r=3)
         feed(t, 6, self.rng)
-        assert [b.span for b in t.coreset_buckets()] == [(1, 3), (4, 6)]
+        assert [b.span for b in t.summary()] == [(1, 3), (4, 6)]
         assert t.level_counts()[0] == 0
 
     def test_after_9(self):
         t = CoresetTree(self.cfg, r=3)
         feed(t, 9, self.rng)
-        buckets = t.coreset_buckets()
+        buckets = t.summary()
         assert len(buckets) == 1
         assert buckets[0].span == (1, 9)
         assert t.max_level() == 2
 
     def test_empty_coreset(self):
         t = CoresetTree(self.cfg, r=3)
-        assert t.coreset_buckets() == []
+        assert t.summary() == []
         with pytest.raises(ValueError):
             t.max_level()
 
@@ -67,7 +67,7 @@ class TestInvariants:
             assert all(c == 0 for c in counts[len(digits) :])
             assert t.max_level() <= int(math.log(i, r) + 1e-9)
             # spans partition [1, i]
-            spans = [b.span for b in t.coreset_buckets()]
+            spans = [b.span for b in t.summary()]
             assert spans[0][0] == 1 and spans[-1][1] == i
             assert all(b[0] == a[1] + 1 for a, b in zip(spans, spans[1:]))
             # slot j summarizes r**j buckets and levels match slots here
@@ -121,7 +121,7 @@ class TestInvariants:
         t = CoresetTree(cfg, r=2)
         t.update(Bucket(rng.normal(size=(8, 2)), np.ones(8), 1, 4, 2))
         t.update(Bucket(rng.normal(size=(8, 2)), np.ones(8), 5, 8, 2))
-        merged = t.coreset_buckets()[0]
+        merged = t.summary()[0]
         assert merged.span == (1, 8)
         assert merged.level == 3
 
