@@ -9,8 +9,8 @@ always available.  If it is not (queries were sparse), the query falls
 back to merging every active tree bucket, exactly like the plain tree.  A
 repeat query with no update in between returns the entry cached under N.
 
-These query steps live in `PrefixCache`, which the recursive cache shares;
-a structure passes in only where its minor part and its fallback come from.
+The query steps live once in `CachedCoresetTree._cached_query`; the
+recursive cache inherits them and passes in its own minor part and fallback.
 """
 
 from __future__ import annotations
@@ -22,17 +22,38 @@ from .coreset import Bucket, CoresetConfig, build_coreset
 from .tree import CoresetTree
 
 
-class PrefixCache:
-    """A coreset tree `tree` of merge degree `r`, plus a cache of answers
+class CachedCoresetTree:
+    """Merge-degree-r coreset tree `tree` plus a cache of query summaries
     keyed by the bucket count they cover."""
 
-    cfg: CoresetConfig
-    r: int
-    tree: CoresetTree
-    cache: dict[int, Bucket]
     query_builds = 0  # query-time reductions
     last_query_width = 0  # buckets merged by the most recent query, 0 on a repeat
     last_query_path: str | None = None
+
+    def __init__(
+        self,
+        cfg: CoresetConfig,
+        r: int = 2,
+        seed: int | np.random.SeedSequence | None = None,
+    ):
+        self.cfg = cfg
+        self.r = r
+        rng = np.random.default_rng(cfg.seed if seed is None else seed)
+        self.tree = CoresetTree(cfg, r, rng=rng)
+        self.cache: dict[int, Bucket] = {}
+
+    def update(self, bucket: Bucket) -> None:
+        """Ingest a bucket; the cache is only touched by queries."""
+        self.tree.update(bucket)
+
+    def coreset(self) -> Bucket:
+        """Summary of everything ingested, spanning buckets [1, N]."""
+        return self._cached_query(self._tree_minor, self.tree.summary, build_coreset)
+
+    @property
+    def builds(self) -> int:
+        """Total coreset constructions (tree merges plus query reductions)."""
+        return self.tree.builds + self.query_builds
 
     @property
     def n(self) -> int:
@@ -111,31 +132,3 @@ class PrefixCache:
             )
         return list(slot)
 
-
-class CachedCoresetTree(PrefixCache):
-    """Merge-degree-r coreset tree plus cached query summaries."""
-
-    def __init__(
-        self,
-        cfg: CoresetConfig,
-        r: int = 2,
-        seed: int | np.random.SeedSequence | None = None,
-    ):
-        self.cfg = cfg
-        self.r = r
-        rng = np.random.default_rng(cfg.seed if seed is None else seed)
-        self.tree = CoresetTree(cfg, r, rng=rng)
-        self.cache: dict[int, Bucket] = {}
-
-    def update(self, bucket: Bucket) -> None:
-        """Ingest a bucket; the cache is only touched by queries."""
-        self.tree.update(bucket)
-
-    def coreset(self) -> Bucket:
-        """Summary of everything ingested, spanning buckets [1, N]."""
-        return self._cached_query(self._tree_minor, self.tree.summary, build_coreset)
-
-    @property
-    def builds(self) -> int:
-        """Total coreset constructions (tree merges plus query reductions)."""
-        return self.tree.builds + self.query_builds

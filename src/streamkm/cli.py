@@ -16,7 +16,7 @@ import numpy as np
 from .bench import ALGORITHMS, BenchOptions, RunMetrics, run_benchmark, write_outputs
 from .coreset import CoresetConfig
 from .data import DriftConfig, drift_stream, gaussian_mixture, read_csv_stream
-from .recursive import order_for_horizon
+from .recursive import MAX_ORDER, order_for_horizon
 from .schedule import QuerySchedule, schedule_queries
 
 
@@ -99,10 +99,17 @@ def main(argv=None) -> int:
             ("--r", args.r, args.r >= 2, ">= 2"),
             ("--alpha", args.alpha, args.alpha > 1.0, "> 1"),
             ("--eps", args.eps, 0.0 < args.eps < 1.0, "in (0, 1)"),
+            ("--rcc-depth", args.rcc_depth, 0 <= args.rcc_depth <= MAX_ORDER,
+             f"in [0, {MAX_ORDER}]"),
+            ("--warmup", args.warmup, args.warmup is None or args.warmup >= args.k,
+             f">= --k ({args.k})"),
+            ("--gen-d", args.gen_d, args.gen_d >= 1, ">= 1"),
         ):
             if not ok:
                 raise ValueError(f"{flag} must be {rule}, got {value}")
         points = load_points(args)
+        if len(points) == 0:
+            raise ValueError("the stream has no points")
         if args.poisson_rate is not None:
             sched = QuerySchedule.poisson(args.poisson_rate, seed=args.seed)
         else:

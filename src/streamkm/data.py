@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,11 +16,13 @@ def read_csv_stream(path, shuffle_seed: int | None = None) -> np.ndarray:
     are skipped.
     """
     rows: list[list[float]] = []
+    blanks: list[int] = []  # numbers of the skipped lines
     width: int | None = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
+                blanks.append(lineno)
                 continue
             fields = line.split(",") if "," in line else line.split()
             try:
@@ -38,11 +39,8 @@ def read_csv_stream(path, shuffle_seed: int | None = None) -> np.ndarray:
     points = np.array(rows, dtype=np.float64).reshape(len(rows), width or 0)
     finite = np.isfinite(points).all(axis=1)
     if not finite.all():
-        bad_row = int(np.argmin(finite))
-        with open(path) as fh:
-            linenos = (i for i, line in enumerate(fh, start=1) if line.strip())
-            lineno = next(itertools.islice(linenos, bad_row, None))
-        raise ValueError(f"{path}:{lineno}: non-finite field")
+        kept = np.setdiff1d(np.arange(1, len(rows) + len(blanks) + 1), blanks)  # row -> line
+        raise ValueError(f"{path}:{kept[np.argmin(finite)]}: non-finite field")
     if shuffle_seed is not None:
         rng = np.random.default_rng(shuffle_seed)
         points = points[rng.permutation(len(points))]

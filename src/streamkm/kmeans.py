@@ -253,7 +253,9 @@ class SequentialKMeans:
         self._seeded += 1
 
     def update(self, p) -> None:
-        """One MacQueen step on the k seeded centers."""
+        """One MacQueen step on the k centers, once push has seeded them all."""
+        if self._seeded < self.k:
+            raise RuntimeError(f"update needs all {self.k} centers seeded, {self._seeded} are")
         sequential_update(self._state, p, self._rows)
 
     def query(self) -> CenterSet:

@@ -4,11 +4,12 @@ A node of order i keeps its levels in a coreset tree of merge degree
 r_i = 2**(2**i) and mirrors each nonempty level with a child node of order
 i-1 for fast retrieval.  After a carry lands in level c, the levels below c
 are empty and their children are dropped; child c alone receives the new
-bucket, so every child holds exactly the buckets of its level.  An order-0
-node is simply a cached coreset tree with merge degree 2.  Queries usually
-merge just two buckets per order: one cached prefix summary and the
-recursive summary of the lowest nonempty level, giving a merge width that
-grows with the nesting depth rather than with the merge degree.
+bucket, so every child holds exactly the buckets of its level.  Every node
+is a `CachedCoresetTree` and answers through `CachedCoresetTree._cached_query`;
+an order-0 node is that class with merge degree 2 and runs its own code.
+Queries usually merge just two buckets per order: one cached prefix summary
+and the recursive summary of the lowest nonempty level, giving a merge width
+that grows with the nesting depth rather than with the merge degree.
 """
 
 from __future__ import annotations
@@ -16,15 +17,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import radix
-from .cache import PrefixCache
+from .cache import CachedCoresetTree
 from .coreset import Bucket, CoresetConfig, build_coreset, spawn_seed
-from .tree import CoresetTree
 
 MAX_ORDER = 6  # 2**(2**6) buckets per level is already past any realistic stream
 
 
-class RecursiveCachedTree(PrefixCache):
-    """Nested cached coreset trees with tower-of-two merge degrees."""
+class RecursiveCachedTree(CachedCoresetTree):
+    """Nested cached coreset trees with tower-of-two merge degrees.  The inherited
+    `builds` counts only this node's own merges and reductions, not its children's."""
 
     def __init__(
         self,
@@ -36,20 +37,17 @@ class RecursiveCachedTree(PrefixCache):
             raise ValueError(f"order must be >= 0, got {order}")
         if order > MAX_ORDER:
             raise ValueError(f"order {order} too large (max {MAX_ORDER})")
-        self.cfg = cfg
         self.order = order
-        self.r = 2 ** (2**order)
         self._seed_seq = spawn_seed(cfg.seed if seed is None else seed)
+        super().__init__(cfg, 2 ** (2**order), seed=self._seed_seq)
         self.last_query_merge_count = 0
         self.children: dict[int, RecursiveCachedTree] = {}  # level -> mirror
-        self.tree = CoresetTree(cfg, self.r, rng=np.random.default_rng(self._seed_seq))
-        self.cache: dict[int, Bucket] = {}
 
     def update(self, bucket: Bucket) -> None:
         """Ingest a bucket and mirror the level its carry lands in; a merge
         that raises, here or in a child, leaves the node as it was."""
         if self.order == 0:
-            self.tree.update(bucket)  # an order-0 node mirrors nothing
+            super().update(bucket)  # an order-0 node mirrors nothing
             return
         saved = dict(vars(self.tree), slots=list(self.tree.slots))  # slots is edited in place
         self.tree.update(bucket)
@@ -72,14 +70,14 @@ class RecursiveCachedTree(PrefixCache):
     def coreset(self) -> Bucket:
         """Summary of everything ingested by this node.
 
-        Order 0 answers from its own tree.  Above that, the minor part is
-        the answer of the child mirroring the lowest nonempty level, and a
-        fallback merges every child's answer.  The merge count is the
+        Order 0 answers as `CachedCoresetTree` does.  Above that, the minor
+        part is the answer of the child mirroring the lowest nonempty level,
+        and a fallback merges every child's answer.  The merge count is the
         query's width plus the counts of the children it asked.
         """
         self.last_query_merge_count = 0
         if self.order == 0:
-            out = self._cached_query(self._tree_minor, self.tree.summary, build_coreset)
+            out = super().coreset()
         else:
             out = self._cached_query(
                 lambda: self._answers([min(self.children)]),

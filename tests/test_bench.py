@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from streamkm.bench import (
+    ALGORITHMS,
     BenchOptions,
     batch_reference,
     format_csv,
@@ -158,7 +159,7 @@ class TestCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("algo", ["seq", "ct"])
+    @pytest.mark.parametrize("algo", ALGORITHMS)
     @pytest.mark.parametrize(
         "flag, value, message",
         [
@@ -170,6 +171,10 @@ class TestCli:
             ("--alpha", "nan", "--alpha must be > 1, got nan"),
             ("--eps", "0", "--eps must be in (0, 1), got 0.0"),
             ("--eps", "1", "--eps must be in (0, 1), got 1.0"),
+            ("--rcc-depth", "-1", "--rcc-depth must be in [0, 6], got -1"),
+            ("--rcc-depth", "7", "--rcc-depth must be in [0, 6], got 7"),
+            ("--warmup", "1", "--warmup must be >= --k (2), got 1"),
+            ("--gen-d", "0", "--gen-d must be >= 1, got 0"),
         ],
     )
     def test_degenerate_options_rejected(self, tmp_path, capsys, algo, flag, value, message):
@@ -179,6 +184,20 @@ class TestCli:
         ])
         assert code == 1
         assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    @pytest.mark.parametrize("source", ["gen-n-0", "empty-csv", "blank-csv"])
+    def test_empty_stream_rejected(self, tmp_path, capsys, algo, source):
+        f = tmp_path / "in.csv"
+        f.write_text({"empty-csv": "", "blank-csv": "\n  \n\t\n"}.get(source, ""))
+        if source == "gen-n-0":
+            stream = ["--gen", "mixture", "--gen-n", "0", "--gen-d", "2"]
+        else:
+            stream = ["--input", str(f)]
+        code = main(["--algo", algo, *stream, "--k", "2", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "error: the stream has no points" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_poisson_schedule_runs(self, tmp_path):

@@ -6,7 +6,8 @@ NaN or infinity in it, `"correct": true`, and a value for every per-layer
 metric the benchmark declares.  A metric the harness cannot source (its
 tracer target is gone from the program) is left out of that line, so this
 catches a refactor that drops an attribute or a call site the tracer reads.
-The MacQueen step and every algorithm's Lloyd loop must also read above
+The MacQueen step, every algorithm's Lloyd loop and the queries that
+reach the order-0 `CachedCoresetTree` inside `rcc` must also read above
 zero, which catches a span that is present but never entered.  Each case
 takes a few seconds.
 """
@@ -38,6 +39,7 @@ def test_traced_run_reports_every_metric(workload):
     assert result["correct"] is True, proc.stdout
     missing = [m["name"] for m in BENCHMARK["per_layer"] if m["name"] not in result["metrics"]]
     assert missing == []
-    seen = ["seq.kmeans.update_s"] + [f"{a}.kmeans.lloyd_s" for a in ("ct", "cc", "rcc", "online")]
+    seen = ["seq.kmeans.update_s", "rcc.cache.queries"]
+    seen += [f"{a}.kmeans.lloyd_s" for a in ("ct", "cc", "rcc", "online")]
     blind = [name for name in seen if not result["metrics"][name]["value"] > 0]
     assert blind == []

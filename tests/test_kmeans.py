@@ -365,6 +365,17 @@ class TestSequential:
         with pytest.raises(ValueError):
             sequential_update(CenterSet(np.empty((0, 2)), np.empty(0)), [1.0, 1.0])
 
+    def test_update_before_seeding_error(self):
+        with pytest.raises(RuntimeError, match="0 are"):
+            SequentialKMeans(3).update([9.0, 9.0])
+        s = SequentialKMeans(3)
+        s.push([0.0, 0.0])
+        s.push([1.0, 0.0])
+        with pytest.raises(RuntimeError, match="2 are"):
+            s.update([9.0, 9.0])  # used to move the second seed to [5, 4.5]
+        s.push([2.0, 2.0])
+        assert np.array_equal(s.query().centers, [[0, 0], [1, 0], [2, 2]])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
     def test_non_finite_point_rejected(self, bad):
         s = SequentialKMeans(2)

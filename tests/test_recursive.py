@@ -141,6 +141,24 @@ class TestOrderZeroEquivalence:
             assert np.array_equal(a.weights, b.weights)
             assert (a.span, a.level) == (b.span, b.level)
 
+    def test_order2_query_runs_cc_coreset_at_order0_nodes(self, monkeypatch):
+        entered = []
+        original = CachedCoresetTree.coreset
+
+        def counting(self):
+            entered.append(self)
+            return original(self)
+
+        monkeypatch.setattr(CachedCoresetTree, "coreset", counting)
+        node = RecursiveCachedTree(CoresetConfig(k=2, m=8, seed=10), 2)
+        rng = np.random.default_rng(11)
+        for i in range(1, 40):
+            node.update(base_bucket(rng, i))
+            entered.clear()
+            node.coreset()
+            assert entered, f"the query at N={i} never entered CachedCoresetTree.coreset"
+            assert all(type(n) is RecursiveCachedTree and n.order == 0 for n in entered)
+
 
 class TestMemory:
     @pytest.mark.parametrize("order", [0, 1, 2])
