@@ -37,8 +37,6 @@ class RunMetrics:
     seed: int
     records: list[QueryRecord] = field(default_factory=list)
     update_ns_total: int = 0
-    peak_stored_points: int = 0
-    fallbacks: int = 0
 
     @property
     def final_ssq(self) -> float:
@@ -138,12 +136,10 @@ def run_benchmark(
             else:
                 ssq = math.nan
             stored = alg.stored_points()
-            metrics.peak_stored_points = max(metrics.peak_stored_points, stored)
             metrics.records.append(
                 QueryRecord(i, ssq, query_ns, update_ns, stored * d * 8)
             )
     metrics.update_ns_total = update_ns
-    metrics.fallbacks = getattr(alg, "fallback_count", 0)
     return metrics
 
 

@@ -86,9 +86,9 @@ class CachedCoresetTree:
             raise ValueError("no buckets ingested yet")
         if n in self.cache:
             # Repeat query with no intervening update: hand back the entry
-            # untouched, no eviction.
+            # itself, no eviction.
             self.last_query_path, self.last_query_width = "cached", 0
-            return self.cache[n].copy()
+            return self.cache[n]
 
         n1 = radix.major(n, self.r)
         if n1 == 0:
@@ -106,7 +106,7 @@ class CachedCoresetTree:
         if len(candidate) == 1:
             # Single already-reduced bucket: keep it as-is so the level does
             # not climb on the tree-only path.
-            out = candidate[0].copy()
+            out = candidate[0]
         else:
             out = reduce(self.cfg, candidate, self.tree.rng)
             self.query_builds += 1
@@ -114,7 +114,7 @@ class CachedCoresetTree:
         for key in set(self.cache) - set(radix.prefixsum(n, self.r)) - {n}:
             del self.cache[key]
         self.last_query_path, self.last_query_width = path, len(candidate)
-        return out.copy()
+        return out
 
     def _tree_minor(self) -> list[Bucket]:
         """The tree buckets covering the minor part of N: its lowest nonempty slot."""

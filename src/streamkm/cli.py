@@ -9,6 +9,7 @@ Example:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -103,17 +104,21 @@ def main(argv=None) -> int:
              f"in [0, {MAX_ORDER}]"),
             ("--warmup", args.warmup, args.warmup is None or args.warmup >= args.k,
              f">= --k ({args.k})"),
+            ("--gen-n", args.gen_n, args.gen_n >= 0, ">= 0"),
             ("--gen-d", args.gen_d, args.gen_d >= 1, ">= 1"),
+            ("--gen-spread", args.gen_spread,
+             math.isfinite(args.gen_spread) and args.gen_spread >= 0, "finite and >= 0"),
+            ("--drift-speed", args.drift_speed, math.isfinite(args.drift_speed), "finite"),
         ):
             if not ok:
                 raise ValueError(f"{flag} must be {rule}, got {value}")
-        points = load_points(args)
-        if len(points) == 0:
-            raise ValueError("the stream has no points")
         if args.poisson_rate is not None:
             sched = QuerySchedule.poisson(args.poisson_rate, seed=args.seed)
         else:
             sched = QuerySchedule.fixed(args.query_interval)
+        points = load_points(args)
+        if len(points) == 0:
+            raise ValueError("the stream has no points")
         query_indices = schedule_queries(sched, len(points))
 
         rcc_order = args.rcc_depth

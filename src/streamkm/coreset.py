@@ -50,9 +50,13 @@ def spawn_seed(seed: int | np.random.SeedSequence, *key: int) -> np.random.SeedS
     return np.random.SeedSequence(seed.entropy, spawn_key=tuple(seed.spawn_key) + key)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Bucket:
-    """Weighted point set with its stream span and coreset level."""
+    """Weighted point set with its stream span and coreset level.
+
+    An immutable value whose arrays are read-only views, so structures share
+    buckets without copying them; a caller who wants to edit one copies its arrays.
+    """
 
     points: np.ndarray  # (n, d)
     weights: np.ndarray  # (n,)
@@ -61,21 +65,22 @@ class Bucket:
     level: int = 0
 
     def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if len(self.points) != len(self.weights):
-            raise ValueError(
-                f"{len(self.points)} points but {len(self.weights)} weights"
-            )
-        if not np.all(np.isfinite(self.points)):
+        points = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
+        weights = np.asarray(self.weights, dtype=np.float64)
+        if len(points) != len(weights):
+            raise ValueError(f"{len(points)} points but {len(weights)} weights")
+        if not np.all(np.isfinite(points)):
             raise ValueError("bucket points must be finite")
-        if not np.all(np.isfinite(self.weights)):
+        if not np.all(np.isfinite(weights)):
             raise ValueError("bucket weights must be finite")
-        if np.any(self.weights <= 0):
+        if np.any(weights <= 0):
             raise ValueError("bucket weights must be positive")
         if self.span_left > self.span_right:
             raise ValueError(f"bad span [{self.span_left}, {self.span_right}]")
-        self._total_weight: float | None = None
+        points, weights = points.view(), weights.view()
+        points.flags.writeable = weights.flags.writeable = False
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def n_points(self) -> int:
@@ -86,15 +91,7 @@ class Bucket:
         return (self.span_left, self.span_right)
 
     def total_weight(self) -> float:
-        # memoized; weights never mutate after construction (pairwise sum)
-        if self._total_weight is None:
-            self._total_weight = float(np.sum(self.weights))
-        return self._total_weight
-
-    def copy(self) -> "Bucket":
-        return Bucket(
-            self.points.copy(), self.weights.copy(), self.span_left, self.span_right, self.level
-        )
+        return float(np.sum(self.weights))
 
 
 def _ordered_contiguous(inputs: list[Bucket]) -> list[Bucket]:
@@ -135,7 +132,7 @@ def build_coreset(cfg: CoresetConfig, inputs: list[Bucket], rng: np.random.Gener
     span_l, span_r = ordered[0].span_left, ordered[-1].span_right
 
     if len(points) <= cfg.m:
-        return Bucket(points.copy(), weights.copy(), span_l, span_r, level)
+        return Bucket(points, weights, span_l, span_r, level)
 
     total = weights.sum()
     diff = points - weights @ points / total

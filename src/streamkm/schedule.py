@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,8 @@ class QuerySchedule:
         elif self.mode == "poisson":
             if self.rate is None or self.interval is not None:
                 raise ValueError("poisson schedule takes rate only")
-            if self.rate <= 0:
-                raise ValueError(f"rate must be positive, got {self.rate}")
+            if not (math.isfinite(self.rate) and self.rate > 0):
+                raise ValueError(f"rate must be finite and positive, got {self.rate}")
         else:
             raise ValueError(f"unknown schedule mode {self.mode!r}")
 

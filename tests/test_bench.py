@@ -174,7 +174,11 @@ class TestCli:
             ("--rcc-depth", "-1", "--rcc-depth must be in [0, 6], got -1"),
             ("--rcc-depth", "7", "--rcc-depth must be in [0, 6], got 7"),
             ("--warmup", "1", "--warmup must be >= --k (2), got 1"),
+            ("--gen-n", "-5", "--gen-n must be >= 0, got -5"),
             ("--gen-d", "0", "--gen-d must be >= 1, got 0"),
+            ("--gen-spread", "-1", "--gen-spread must be finite and >= 0, got -1.0"),
+            ("--gen-spread", "nan", "--gen-spread must be finite and >= 0, got nan"),
+            ("--drift-speed", "nan", "--drift-speed must be finite, got nan"),
         ],
     )
     def test_degenerate_options_rejected(self, tmp_path, capsys, algo, flag, value, message):

@@ -39,12 +39,6 @@ class TestBucket:
         b = Bucket([[1.0, 0], [2, 0]], [1.5, 2.5], 1, 1, 0)
         assert b.total_weight() == pytest.approx(4.0)
 
-    def test_copy_is_independent(self):
-        b = Bucket([[1.0, 0]], [1.0], 1, 1, 0)
-        c = b.copy()
-        c.points[0, 0] = 99.0
-        assert b.points[0, 0] == 1.0
-
 
 class TestUnion:
     """build_coreset's union of its inputs, seen on the pass-through path."""

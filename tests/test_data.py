@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -153,3 +155,9 @@ class TestSchedule:
     def test_poisson_rate_validation(self):
         with pytest.raises(ValueError):
             QuerySchedule.poisson(0.0)
+
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_poisson_rate_must_be_finite(self, rate):
+        # an infinite rate draws zero gaps forever; NaN cannot become an index
+        with pytest.raises(ValueError, match="rate must be finite and positive"):
+            QuerySchedule.poisson(rate)

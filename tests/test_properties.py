@@ -9,10 +9,13 @@ and no other child exists.  Through the driver, for every structure and the
 online clusterer, the weight an answer carries is the number of points
 pushed, however the stream is split between pushes and queries.  A
 query with no update since the last one returns that answer's bytes and
-reduces nothing, for `cc` and for `rcc` at every order.
+reduces nothing, for `cc` and for `rcc` at every order.  Every bucket a
+structure holds or answers with refuses writes, so sharing one between a
+tree, a cache and a child cannot leak an edit.
 """
 
 from contextlib import ExitStack
+from dataclasses import FrozenInstanceError
 from unittest.mock import patch
 
 import numpy as np
@@ -115,6 +118,50 @@ DRIVEN = {
     "cc": lambda cfg: CachedCoresetTree(cfg, 2, seed=cfg.seed),
     "rcc": lambda cfg: RecursiveCachedTree(cfg, 1, seed=cfg.seed),
 }
+
+
+SHARING = {
+    "ct": DRIVEN["ct"],
+    "cc": DRIVEN["cc"],
+    **{f"rcc/order{o}": (lambda cfg, o=o: RecursiveCachedTree(cfg, o, seed=cfg.seed))
+       for o in range(3)},
+}
+
+
+def held_buckets(structure):
+    """The buckets a structure holds, found without querying it: a tree's
+    summary, a cache's tree and entries, and every `rcc` child's."""
+    if isinstance(structure, CoresetTree):
+        return structure.summary()
+    held = structure.tree.summary() + list(structure.cache.values())
+    for child in getattr(structure, "children", {}).values():
+        held += held_buckets(child)
+    return held
+
+
+def assert_read_only(bucket):
+    for array in (bucket.points, bucket.weights):
+        with pytest.raises(ValueError):
+            array[...] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        bucket.points = bucket.points.copy()
+    with pytest.raises(FrozenInstanceError):
+        bucket.level = 0
+
+
+@pytest.mark.parametrize("name", sorted(SHARING))
+@given(queries=schedules(120), seed=st.integers(0, 2**16))
+def test_buckets_are_read_only(name, queries, seed):
+    structure = SHARING[name](CoresetConfig(k=2, m=4, seed=seed))
+    data = np.random.default_rng(seed)
+    for n, count in enumerate(queries, 1):
+        pts = data.normal(size=(POINTS_PER_BUCKET, 2))
+        structure.update(Bucket(pts, np.ones(POINTS_PER_BUCKET), n, n, 0))
+        for bucket in held_buckets(structure):
+            assert_read_only(bucket)
+        for _ in range(count):
+            for bucket in structure.summary() + held_buckets(structure):
+                assert_read_only(bucket)
 
 
 @pytest.mark.parametrize("algo", ["ct", "cc", "rcc", "online"])
