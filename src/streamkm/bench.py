@@ -148,8 +148,7 @@ def batch_reference(points, k: int, seed: int, runs: int = 5, lloyd_iters: int =
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     weights = np.ones(len(points))
     rng = np.random.default_rng(seed)
-    centers = best_of_runs(points, weights, k, rng, runs=runs, lloyd_iters=lloyd_iters)
-    return clustering_cost(points, centers, weights)
+    return best_of_runs(points, weights, k, rng, runs=runs, lloyd_iters=lloyd_iters)[1]
 
 
 def format_csv(runs: list[RunMetrics]) -> str:

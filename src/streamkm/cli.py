@@ -106,6 +106,8 @@ def main(argv=None) -> int:
              f">= --k ({args.k})"),
             ("--gen-n", args.gen_n, args.gen_n >= 0, ">= 0"),
             ("--gen-d", args.gen_d, args.gen_d >= 1, ">= 1"),
+            ("--gen-clusters", args.gen_clusters, args.gen_clusters >= 1, ">= 1"),
+            ("--drift-pps", args.drift_pps, args.drift_pps >= 1, ">= 1"),
             ("--gen-spread", args.gen_spread,
              math.isfinite(args.gen_spread) and args.gen_spread >= 0, "finite and >= 0"),
             ("--drift-speed", args.drift_speed, math.isfinite(args.drift_speed), "finite"),

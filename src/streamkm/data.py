@@ -89,8 +89,8 @@ class DriftConfig:
 
     def __post_init__(self):
         self.drift = np.asarray(self.drift, dtype=np.float64)
-        if self.total_points < 1 or self.n_centers < 1 or self.points_per_step < 1:
-            raise ValueError("drift generator counts must be positive")
+        if self.total_points < 0 or self.n_centers < 1 or self.points_per_step < 1:
+            raise ValueError("drift generator counts must be positive; total_points may be 0")
 
     @property
     def d(self) -> int:
@@ -108,7 +108,7 @@ def drift_stream(cfg: DriftConfig, return_center_track: bool = False):
     centers = rng.uniform(0.0, 100.0, size=(cfg.n_centers, cfg.d))
     per_step = cfg.n_centers * cfg.points_per_step
     steps = -(-cfg.total_points // per_step)
-    chunks = []
+    chunks = [np.empty((0, cfg.d))]  # so an empty stream is a (0, d) array
     track = []
     for _ in range(steps):
         centers = centers + cfg.drift
@@ -118,5 +118,5 @@ def drift_stream(cfg: DriftConfig, return_center_track: bool = False):
         chunks.append(step[rng.permutation(per_step)])
     points = np.concatenate(chunks)[: cfg.total_points]
     if return_center_track:
-        return points, np.array(track)
+        return points, np.array(track).reshape(steps, cfg.n_centers, cfg.d)
     return points

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coreset import Bucket, CoresetConfig, spawn_seed
-from .kmeans import CenterSet, assign_to_centers, best_of_runs
+from .kmeans import CenterSet, best_of_runs
 
 
 class StreamClusterer:
@@ -85,12 +85,9 @@ class StreamClusterer:
             pool_weights.append(np.ones(len(partial)))
         points = np.concatenate(pools)
         weights = np.concatenate(pool_weights)
-        centers = best_of_runs(
+        return best_of_runs(
             points, weights, self.cfg.k, self._rng, runs=self.runs, lloyd_iters=self.lloyd_iters
         )
-        assign, d2 = assign_to_centers(points, centers)
-        per_center = np.bincount(assign, weights=weights, minlength=len(centers))
-        return CenterSet(centers, per_center), float(np.dot(weights, d2))
 
     def stored_points(self) -> int:
         return self.structure.stored_points() + len(self._partial)

@@ -6,11 +6,12 @@ D^2-sampled seeding, Lloyd refinement, a best-of-several-runs wrapper, and
 the one-pass sequential clusterer used as a streaming baseline.
 
 best_of_runs seeds all of its runs in one stacked D^2 pass, each run drawing
-from its own generator, and takes a converged run's cost from Lloyd's last
-assignment instead of a fresh pass.  Both give the same bits as seeding,
-refining and costing each run on its own, so answers do not depend on it.
-lloyd_refine returns the refined centers together with their weighted cost
-when the loop converged (None otherwise), which is how best_of_runs gets it.
+from its own generator, which gives the same bits as seeding each run on its
+own.  lloyd_refine returns the refined centers, the weight each one gathers
+and their weighted cost, all from one assignment to the returned centers: a
+converged run's last assignment, or one final pass after max_iters.  So
+every caller takes the answer, its weights and its cost from that one
+assignment, and none assigns the pool again.
 
 assign_to_centers makes one GEMM for all points, then expands, clips and
 takes each row's nearest center over row tiles of 2^15 distances in one
@@ -164,13 +165,13 @@ def kmeans_pp(points, weights, k: int, rng: np.random.Generator) -> np.ndarray:
 
 def lloyd_refine(
     points, centers, weights=None, max_iters: int = 20
-) -> tuple[np.ndarray, float | None]:
+) -> tuple[CenterSet, float]:
     """Weighted Lloyd iterations from a copy of the given centers.
 
     Stops after max_iters or as soon as assignments repeat; a cluster that
     loses all points keeps its previous center.  Cost never increases.
-    Returns the centers and, when the loop converged, their weighted cost
-    (the last assignment is still theirs); else None.
+    Returns the centers with the weight each one gathers, and their weighted
+    cost, both from one last assignment to the returned centers.
     """
     if max_iters < 0:
         raise ValueError(f"Lloyd iterations must be >= 0, got {max_iters}")
@@ -181,18 +182,18 @@ def lloyd_refine(
     flat_weighted = (points * weights[:, None]).ravel()
     cols = np.arange(d)
     prev_assign = None
-    for _ in range(max_iters):
+    for step in range(max_iters + 1):  # the last pass only assigns
         assign, d2 = assign_to_centers(points, centers)
-        if prev_assign is not None and np.array_equal(assign, prev_assign):
-            return centers, float(np.dot(weights, d2))
-        prev_assign = assign
         wsum = np.bincount(assign, weights=weights, minlength=k)
+        if step == max_iters or (prev_assign is not None and np.array_equal(assign, prev_assign)):
+            break
+        prev_assign = assign
         # one bincount over (center, coordinate) bins, each summed in point order
         bins = (assign[:, None] * d + cols).ravel()
         sums = np.bincount(bins, weights=flat_weighted, minlength=k * d).reshape(k, d)
         occupied = wsum > 0
         centers[occupied] = sums[occupied] / wsum[occupied, None]
-    return centers, None
+    return CenterSet(centers, wsum), float(np.dot(weights, d2))
 
 
 def best_of_runs(
@@ -202,25 +203,22 @@ def best_of_runs(
     rng: np.random.Generator,
     runs: int = 5,
     lloyd_iters: int = 20,
-) -> np.ndarray:
-    """Best of several independent seed-then-refine runs, by cost on the inputs."""
+) -> tuple[CenterSet, float]:
+    """Best of several independent seed-then-refine runs, by cost on the inputs:
+    the winning run's lloyd_refine answer (centers with weights, and cost)."""
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64)
     rngs = [np.random.default_rng(int(seed)) for seed in rng.integers(0, 2**63, size=runs)]
-    best_centers = None
-    best_cost = np.inf
+    best = (None, np.inf)
     for idx in d2_sample(points, weights, k, rngs):
-        centers, cost = lloyd_refine(points, points[idx], weights, lloyd_iters)
-        if cost is None:
-            cost = clustering_cost(points, centers, weights)
-        if cost < best_cost:
-            best_cost = cost
-            best_centers = centers
-    if best_centers is None:
+        run = lloyd_refine(points, points[idx], weights, lloyd_iters)
+        if run[1] < best[1]:
+            best = run
+    if best[0] is None:
         raise ValueError("no run reached a finite cost; squared distances overflow float64")
-    return best_centers
+    return best
 
 
 class SequentialKMeans:

@@ -23,7 +23,7 @@ import numpy as np
 from .cache import CachedCoresetTree
 from .coreset import CoresetConfig, spawn_seed
 from .driver import StreamClusterer
-from .kmeans import CenterSet, assign_to_centers, clustering_cost, kmeans_pp, sequential_update
+from .kmeans import CenterSet, kmeans_pp, lloyd_refine, sequential_update
 
 
 class OnlineClusterer:
@@ -64,7 +64,6 @@ class OnlineClusterer:
         self.phi_prev = 0.0
         self.phi_now = 0.0
         self._warm: list[np.ndarray] = []
-        self.query_count = 0
         self.fallback_count = 0
         self.last_fell_back: bool | None = None
 
@@ -97,10 +96,10 @@ class OnlineClusterer:
         if not math.isfinite(flat @ flat):
             raise ValueError("warmup points are not finite or their squared norms overflow")
         ones = np.ones(len(s0))
-        centers = kmeans_pp(s0, ones, self.cfg.k, self._rng)
-        assign, _ = assign_to_centers(s0, centers)
-        self._adopt(centers, np.bincount(assign, minlength=len(centers)).astype(np.float64))
-        self.phi_prev = self.phi_now = clustering_cost(s0, self.centers, ones)
+        # no Lloyd step: one assignment gives the seeds' weights and cost
+        seeded, cost = lloyd_refine(s0, kmeans_pp(s0, ones, self.cfg.k, self._rng), ones, 0)
+        self._adopt(seeded.centers, seeded.weights)
+        self.phi_prev = self.phi_now = cost
         self._mark_batch_start()
         for p in s0:
             self.driver.push(p)
@@ -140,7 +139,6 @@ class OnlineClusterer:
         """Current centers; recomputed from the coreset only past threshold."""
         if self.centers is None:
             raise RuntimeError("clusterer not initialized; feed warmup points first")
-        self.query_count += 1
         self.last_fell_back = self.phi_now > self.alpha * self.phi_prev
         if self.last_fell_back:
             answer, self.phi_prev = self.driver.query_with_cost()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +10,7 @@ import numpy as np
 @dataclass(frozen=True)
 class QuerySchedule:
     """Either one query every `interval` points, or Poisson arrivals with
-    the given rate (mean inter-arrival = 1/rate points)."""
+    the given rate in (0, 1] (mean inter-arrival = 1/rate points)."""
 
     mode: str
     interval: int | None = None
@@ -27,8 +26,11 @@ class QuerySchedule:
         elif self.mode == "poisson":
             if self.rate is None or self.interval is not None:
                 raise ValueError("poisson schedule takes rate only")
-            if not (math.isfinite(self.rate) and self.rate > 0):
-                raise ValueError(f"rate must be finite and positive, got {self.rate}")
+            if not 0 < self.rate <= 1:  # at most one query per point: a mean gap >= 1
+                raise ValueError(
+                    f"rate must be finite and positive and at most 1, got {self.rate}"
+                    " (--query-interval 1 queries every point)"
+                )
         else:
             raise ValueError(f"unknown schedule mode {self.mode!r}")
 

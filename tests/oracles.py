@@ -323,7 +323,6 @@ class OnlineReference(OnlineClusterer):
         """Current centers; recomputed from the coreset only past threshold."""
         if self.centers is None:
             raise RuntimeError("clusterer not initialized; feed warmup points first")
-        self.query_count += 1
         self.last_fell_back = self.phi_now > self.alpha * self.phi_prev
         if self.last_fell_back:
             answer, self.phi_prev = self.driver.query_with_cost()

@@ -176,6 +176,8 @@ class TestCli:
             ("--warmup", "1", "--warmup must be >= --k (2), got 1"),
             ("--gen-n", "-5", "--gen-n must be >= 0, got -5"),
             ("--gen-d", "0", "--gen-d must be >= 1, got 0"),
+            ("--gen-clusters", "0", "--gen-clusters must be >= 1, got 0"),
+            ("--drift-pps", "0", "--drift-pps must be >= 1, got 0"),
             ("--gen-spread", "-1", "--gen-spread must be finite and >= 0, got -1.0"),
             ("--gen-spread", "nan", "--gen-spread must be finite and >= 0, got nan"),
             ("--drift-speed", "nan", "--drift-speed must be finite, got nan"),
@@ -191,12 +193,14 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("algo", ALGORITHMS)
-    @pytest.mark.parametrize("source", ["gen-n-0", "empty-csv", "blank-csv"])
+    @pytest.mark.parametrize("source", ["gen-n-0", "drift-n-0", "empty-csv", "blank-csv"])
     def test_empty_stream_rejected(self, tmp_path, capsys, algo, source):
         f = tmp_path / "in.csv"
         f.write_text({"empty-csv": "", "blank-csv": "\n  \n\t\n"}.get(source, ""))
         if source == "gen-n-0":
             stream = ["--gen", "mixture", "--gen-n", "0", "--gen-d", "2"]
+        elif source == "drift-n-0":
+            stream = ["--gen", "drift", "--gen-n", "0", "--gen-d", "2"]
         else:
             stream = ["--input", str(f)]
         code = main(["--algo", algo, *stream, "--k", "2", "--out", str(tmp_path / "out")])
@@ -212,3 +216,15 @@ class TestCli:
             "--timing", "off", "--out", str(tmp_path / "out"),
         ])
         assert code == 0
+
+    @pytest.mark.parametrize("rate", ["2", "1e308"])
+    def test_poisson_rate_above_one_rejected(self, tmp_path, capsys, rate):
+        code = main([
+            "--algo", "ct", "--gen", "mixture", "--gen-n", "400", "--gen-d", "2", "--k", "2",
+            "--poisson-rate", rate, "--out", str(tmp_path / "out"),
+        ])
+        out = capsys.readouterr()
+        assert code == 1 and out.out == ""
+        assert "error: rate must be finite and positive and at most 1" in out.err
+        assert "--query-interval 1" in out.err
+        assert not (tmp_path / "out").exists()

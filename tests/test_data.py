@@ -120,9 +120,16 @@ class TestDrift:
             assert len(set(step[:40].tolist())) == 4
             assert np.count_nonzero(np.diff(step)) > 100
 
-    def test_counts_validated(self):
+    @pytest.mark.parametrize("counts", [{"n_centers": 0}, {"points_per_step": 0}])
+    def test_counts_validated(self, counts):
         with pytest.raises(ValueError):
-            DriftConfig(total_points=0)
+            DriftConfig(total_points=100, **counts)
+
+    def test_empty_stream(self):
+        # like gaussian_mixture with n=0: a (0, d) array the caller can reject
+        cfg = DriftConfig(total_points=0, drift=np.zeros(3))
+        pts, track = drift_stream(cfg, return_center_track=True)
+        assert pts.shape == (0, 3) and track.shape == (0, 20, 3)
 
 
 class TestSchedule:
@@ -155,6 +162,16 @@ class TestSchedule:
     def test_poisson_rate_validation(self):
         with pytest.raises(ValueError):
             QuerySchedule.poisson(0.0)
+
+    @pytest.mark.parametrize("rate", [1.5, 1e3, 1e308])
+    def test_poisson_rate_at_most_one(self, rate):
+        # a schedule holds one query per point at most, so its mean gap is >= 1
+        with pytest.raises(ValueError, match="at most 1.*--query-interval 1"):
+            QuerySchedule.poisson(rate)
+
+    def test_poisson_rate_one_allowed(self):
+        idx = schedule_queries(QuerySchedule.poisson(1.0, seed=3), 500)
+        assert idx == sorted(set(idx)) and 1 <= idx[0] and idx[-1] <= 500
 
     @pytest.mark.parametrize("rate", [math.inf, math.nan])
     def test_poisson_rate_must_be_finite(self, rate):

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+import streamkm.driver
+import streamkm.kmeans
+import streamkm.online
 from streamkm import (
     CachedCoresetTree,
     CoresetConfig,
     CoresetTree,
+    OnlineClusterer,
     RecursiveCachedTree,
     StreamClusterer,
     best_of_runs,
@@ -173,8 +177,9 @@ class TestQuery:
         for p in pts:
             d.push(p)
         got = d.query()
-        expect = best_of_runs(pts, np.ones(30), 2, np.random.default_rng(77), runs=5)
-        assert np.array_equal(got.centers, expect)
+        expect = best_of_runs(pts, np.ones(30), 2, np.random.default_rng(77), runs=5)[0]
+        assert np.array_equal(got.centers, expect.centers)
+        assert np.array_equal(got.weights, expect.weights)
 
     def test_k1_returns_global_centroid(self):
         for kind in ("ct", "cc", "rcc"):
@@ -221,3 +226,49 @@ class TestQuery:
         for p in rng.normal(size=(23, 2)):
             d.push(p)
         assert d.stored_points() == d.structure.stored_points() + 3
+
+
+class TestAssignmentPasses:
+    """An answer, its weights and its cost come from best_of_runs' own
+    assignments: the driver and online's warmup make no pass of their own."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Every assign_to_centers call made through kmeans, driver or online."""
+        calls = []
+        real = streamkm.kmeans.assign_to_centers
+
+        def counting(points, centers):
+            calls.append(len(points))
+            return real(points, centers)
+
+        for module in (streamkm.kmeans, streamkm.driver, streamkm.online):
+            if hasattr(module, "assign_to_centers"):
+                monkeypatch.setattr(module, "assign_to_centers", counting)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["ct", "cc"])
+    def test_query_makes_only_best_of_runs_passes(self, kind, passes, monkeypatch):
+        inside = []
+        real = streamkm.driver.best_of_runs
+
+        def counted(*args, **kwargs):
+            before = len(passes)
+            answer = real(*args, **kwargs)
+            inside.append(len(passes) - before)
+            return answer
+
+        monkeypatch.setattr(streamkm.driver, "best_of_runs", counted)
+        d = make_driver(kind, k=3, m=20, seed=13)
+        for p in np.random.default_rng(13).normal(size=(107, 3)):
+            d.push(p)
+        passes.clear()
+        for _ in range(2):  # on cc the second query takes the repeat path
+            d.query_with_cost()
+        assert len(inside) == 2 and min(inside) >= 1
+        assert len(passes) == sum(inside)
+
+    def test_online_warmup_makes_one_pass(self, passes):
+        oc = OnlineClusterer(CoresetConfig(k=3, m=20, seed=14), warmup=9)
+        oc.initialize(np.random.default_rng(14).normal(size=(9, 2)))
+        assert passes == [9]

@@ -131,7 +131,7 @@ class TestKmeansPP:
         costs = []
         for s in range(200):
             rng = np.random.default_rng(s)
-            c = lloyd_refine(pts, kmeans_pp(pts, w, 2, rng), w)[0]
+            c = lloyd_refine(pts, kmeans_pp(pts, w, 2, rng), w)[0].centers
             costs.append(clustering_cost(pts, c, w))
         assert np.mean(costs) <= 1.1 * opt
 
@@ -157,12 +157,12 @@ class TestLloyd:
     def test_fixed_point(self):
         pts = np.array([[0.0, 0], [2, 0], [10, 0], [12, 0]])
         centroids = np.array([[1.0, 0], [11.0, 0]])
-        out = lloyd_refine(pts, centroids)[0]
+        out = lloyd_refine(pts, centroids)[0].centers
         assert np.allclose(out, centroids)
 
     def test_single_center_converges_to_centroid(self):
         pts = np.array([[0.0, 0], [2.0, 0]])
-        out = lloyd_refine(pts, [[0.5, 0.0]])[0]
+        out = lloyd_refine(pts, [[0.5, 0.0]])[0].centers
         assert np.allclose(out, [[1.0, 0.0]])
         assert clustering_cost(pts, out) == pytest.approx(2.0)
 
@@ -173,7 +173,7 @@ class TestLloyd:
         centers = kmeans_pp(pts, w, 4, rng)
         prev = clustering_cost(pts, centers, w)
         for _ in range(10):
-            centers = lloyd_refine(pts, centers, w, max_iters=1)[0]
+            centers = lloyd_refine(pts, centers, w, max_iters=1)[0].centers
             cur = clustering_cost(pts, centers, w)
             assert cur <= prev * (1 + 1e-12)
             prev = cur
@@ -181,48 +181,51 @@ class TestLloyd:
     def test_empty_cluster_keeps_center(self):
         pts = np.array([[0.0, 0], [1.0, 0]])
         # far-away center never wins a point and must not move
-        out = lloyd_refine(pts, [[0.4, 0.0], [99.0, 0.0]], max_iters=5)[0]
+        out = lloyd_refine(pts, [[0.4, 0.0], [99.0, 0.0]], max_iters=5)[0].centers
         assert np.allclose(out[1], [99.0, 0.0])
 
-    def test_cost_only_when_converged(self):
+    @pytest.mark.parametrize("max_iters", [0, 50])
+    def test_cost_and_weights_at_any_iteration_count(self, max_iters):
+        # converged (50) or stopped before any step (0), a run has a cost
         rng = np.random.default_rng(4)
         pts = rng.normal(size=(40, 2))
         w = rng.uniform(0.5, 2.0, 40)
         start = kmeans_pp(pts, w, 3, rng)
         kept = start.copy()
-        out, cost = lloyd_refine(pts, start, w, max_iters=50)
+        out, cost = lloyd_refine(pts, start, w, max_iters=max_iters)
         assert np.array_equal(start, kept)  # refines a copy
-        assert cost == clustering_cost(pts, out, w)
-        out, cost = lloyd_refine(pts, start, w, max_iters=0)
-        assert np.array_equal(out, start) and cost is None
+        assert max_iters or np.array_equal(out.centers, start)
+        assert isinstance(cost, float) and cost == clustering_cost(pts, out.centers, w)
+        assert out.weights.sum() == pytest.approx(w.sum())
 
 
 class TestBestOfRuns:
     def test_runs_one_matches_single_run(self):
         pts, w = two_cluster_instance(seed=5)
         rng = np.random.default_rng(17)
-        out = best_of_runs(pts, w, 2, rng, runs=1, lloyd_iters=20)
+        out, cost = best_of_runs(pts, w, 2, rng, runs=1, lloyd_iters=20)
         sub_seed = int(np.random.default_rng(17).integers(0, 2**63, size=1)[0])
         rng_single = np.random.default_rng(sub_seed)
-        expect = lloyd_refine(pts, kmeans_pp(pts, w, 2, rng_single), w, max_iters=20)[0]
-        assert np.array_equal(out, expect)
+        expect, expect_cost = lloyd_refine(pts, kmeans_pp(pts, w, 2, rng_single), w, max_iters=20)
+        assert np.array_equal(out.centers, expect.centers)
+        assert np.array_equal(out.weights, expect.weights) and cost == expect_cost
 
     def test_min_contract(self):
         pts, w = two_cluster_instance(seed=6)
         rng = np.random.default_rng(99)
         sub_seeds = np.random.default_rng(99).integers(0, 2**63, size=5)
-        best = best_of_runs(pts, w, 2, rng, runs=5)
-        best_cost = clustering_cost(pts, best, w)
+        best, best_cost = best_of_runs(pts, w, 2, rng, runs=5)
+        assert best_cost == clustering_cost(pts, best.centers, w)
         for s in sub_seeds:
             r = np.random.default_rng(int(s))
-            c = lloyd_refine(pts, kmeans_pp(pts, w, 2, r), w, max_iters=20)[0]
+            c = lloyd_refine(pts, kmeans_pp(pts, w, 2, r), w, max_iters=20)[0].centers
             assert best_cost <= clustering_cost(pts, c, w) + 1e-12
 
     def test_reaches_brute_force_optimum(self):
         pts, w = two_cluster_instance(seed=7)
         opt = brute_force_2means(pts, w)
-        best = best_of_runs(pts, w, 2, np.random.default_rng(3), runs=5)
-        assert clustering_cost(pts, best, w) == pytest.approx(opt, rel=1e-9)
+        best = best_of_runs(pts, w, 2, np.random.default_rng(3), runs=5)[0]
+        assert clustering_cost(pts, best.centers, w) == pytest.approx(opt, rel=1e-9)
 
     def test_runs_zero_error(self):
         with pytest.raises(ValueError):
@@ -254,6 +257,16 @@ def pools(draw):
     return pts, w, draw(st.integers(1, 20)), draw(st.integers(0, 2**32 - 1))
 
 
+def assert_reference_answer(got, cost, pts, w, want):
+    """got holds the reference centers want bit for bit, with the weights and
+    the cost of one reference assignment of the weighted pool to them."""
+    assert got.centers.shape == want.shape and got.centers.tobytes() == want.tobytes()
+    assign, _ = oracles.assign_to_centers(pts, want)
+    weights = np.bincount(assign, weights=w, minlength=len(want))
+    assert got.weights.tobytes() == weights.tobytes()
+    assert cost == oracles.clustering_cost(pts, want, w)
+
+
 class TestAgainstReference:
     """Bit equality with one independent seeding, Lloyd loop and cost pass
     per run (tests/oracles.py)."""
@@ -263,9 +276,9 @@ class TestAgainstReference:
     @given(pool=pools())
     def test_best_of_runs(self, runs, lloyd_iters, pool):
         pts, w, k, seed = pool
-        got = best_of_runs(pts, w, k, np.random.default_rng(seed), runs, lloyd_iters)
+        got, cost = best_of_runs(pts, w, k, np.random.default_rng(seed), runs, lloyd_iters)
         want = oracles.best_of_runs(pts, w, k, np.random.default_rng(seed), runs, lloyd_iters)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert_reference_answer(got, cost, pts, w, want)
 
     @given(pool=pools())
     def test_kmeans_pp_and_generator_state(self, pool):
@@ -281,10 +294,10 @@ class TestAgainstReference:
     def test_lloyd_refine(self, lloyd_iters, pool, weighted):
         pts, w, k, seed = pool
         start = oracles.kmeans_pp(pts, w, k, np.random.default_rng(seed))
-        w = w if weighted else None
-        got = lloyd_refine(pts, start, w, max_iters=lloyd_iters)[0]
-        want = oracles.lloyd_refine(pts, start, w, max_iters=lloyd_iters)
-        assert got.tobytes() == want.tobytes()
+        given_w = w if weighted else None
+        got, cost = lloyd_refine(pts, start, given_w, max_iters=lloyd_iters)
+        want = oracles.lloyd_refine(pts, start, given_w, max_iters=lloyd_iters)
+        assert_reference_answer(got, cost, pts, w if weighted else np.ones(len(pts)), want)
 
 
 def rows_per_tile(k: int) -> int:
