@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--poisson-rate", type=float, default=None,
                    help="Poisson query rate (mean interval = 1/rate points)")
     p.add_argument("--runs", type=int, default=9, help="independent runs (median reported)")
-    p.add_argument("--best-of", type=int, default=5, help="seedings per query answer")
+    p.add_argument("--best-of", type=int, default=5,
+                   help="seedings for the first answer; later: one plus the last answer")
     p.add_argument("--lloyd-iters", type=int, default=20, help="Lloyd iterations per seeding")
     p.add_argument("--no-exact-ssq", action="store_true",
                    help="skip exact SSQ recomputation (emit nan)")

@@ -3,6 +3,8 @@
 Batches raw points into level-0 buckets of size m, hands them to a bucket
 structure, and answers center queries by clustering the structure's
 summary() together with the not-yet-flushed partial batch.
+The first answer takes the best of `runs` seeded runs; a later one, the cheaper
+of one fresh run and Lloyd from the last answer (k centers, not in stored_points).
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ class StreamClusterer:
         self.points_seen = 0
         self.buckets_delivered = 0
         self._dim: int | None = None
+        self._last_centers: np.ndarray | None = None  # copied: callers may edit theirs
 
     def push(self, p) -> None:
         """Buffer one point; every m-th point flushes a bucket downstream.
@@ -85,9 +88,12 @@ class StreamClusterer:
             pool_weights.append(np.ones(len(partial)))
         points = np.concatenate(pools)
         weights = np.concatenate(pool_weights)
-        return best_of_runs(
-            points, weights, self.cfg.k, self._rng, runs=self.runs, lloyd_iters=self.lloyd_iters
+        answer = best_of_runs(
+            points, weights, self.cfg.k, self._rng, lloyd_iters=self.lloyd_iters,
+            runs=self.runs if self._last_centers is None else 1, start=self._last_centers,
         )
+        self._last_centers = answer[0].centers.copy()
+        return answer
 
     def stored_points(self) -> int:
         return self.structure.stored_points() + len(self._partial)

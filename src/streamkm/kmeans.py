@@ -203,17 +203,23 @@ def best_of_runs(
     rng: np.random.Generator,
     runs: int = 5,
     lloyd_iters: int = 20,
+    start: np.ndarray | None = None,
 ) -> tuple[CenterSet, float]:
     """Best of several independent seed-then-refine runs, by cost on the inputs:
-    the winning run's lloyd_refine answer (centers with weights, and cost)."""
+    the winning run's lloyd_refine answer (centers with weights, and cost).
+    A Lloyd run from start centers (a previous answer) joins last and wins
+    only by a strictly lower cost."""
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64)
     rngs = [np.random.default_rng(int(seed)) for seed in rng.integers(0, 2**63, size=runs)]
+    starts = [points[idx] for idx in d2_sample(points, weights, k, rngs)]
+    if start is not None:
+        starts.append(start)
     best = (None, np.inf)
-    for idx in d2_sample(points, weights, k, rngs):
-        run = lloyd_refine(points, points[idx], weights, lloyd_iters)
+    for centers in starts:
+        run = lloyd_refine(points, centers, weights, lloyd_iters)
         if run[1] < best[1]:
             best = run
     if best[0] is None:

@@ -11,7 +11,8 @@ query normally just returns the maintained centers; only when phi_now
 exceeds alpha times the cost recorded at the last recomputation does the
 query fall back to the driver's own query, which rebuilds centers from the
 coreset plus the partial batch and resets the estimate to
-phi_prev / (1 - eps).
+phi_prev / (1 - eps).  A fallback after the first warm-starts from the
+last fallback's answer (the driver's), not from the centers maintained since.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from streamkm import (
     best_of_runs,
     clustering_cost,
 )
+from streamkm.bench import batch_reference
 
 
 def make_driver(structure_kind="ct", k=2, m=5, seed=0, r=2):
@@ -226,6 +227,78 @@ class TestQuery:
         for p in rng.normal(size=(23, 2)):
             d.push(p)
         assert d.stored_points() == d.structure.stored_points() + 3
+
+
+def pool_of(driver):
+    """The weighted pool a query of this driver clusters."""
+    parts = driver.structure.summary()
+    points = [b.points for b in parts] + [np.array(driver._partial).reshape(-1, driver._dim)]
+    weights = [b.weights for b in parts] + [np.ones(len(driver._partial))]
+    return np.concatenate(points), np.concatenate(weights)
+
+
+def emerging_stream(seed, n_half, d=5, spread=2.0, k=10):
+    """n_half points from the first k/2 of k Gaussians, then n_half from all k."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0.0, 100.0, size=(k, d))
+    labels = np.concatenate([rng.integers(k // 2, size=n_half), rng.integers(k, size=n_half)])
+    return centers[labels] + rng.normal(0.0, spread, size=(2 * n_half, d))
+
+
+class TestWarmStart:
+    """The first answer is best_of_runs with the driver's runs; every later
+    one is the cheaper of one fresh seeded run and Lloyd from the last answer."""
+
+    @pytest.mark.parametrize("kind", ["ct", "cc", "rcc"])
+    def test_first_answer_is_best_of_runs(self, kind):
+        d = make_driver(kind, k=3, m=20, seed=15)
+        for p in np.random.default_rng(15).normal(size=(107, 3)):
+            d.push(p)
+        got, cost = d.query_with_cost()
+        points, weights = pool_of(d)  # on cc and rcc, the repeat path's pool
+        want, want_cost = best_of_runs(points, weights, 3, np.random.default_rng(16), runs=5)
+        assert got.centers.tobytes() == want.centers.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes() and cost == want_cost
+
+    @pytest.mark.parametrize("kind", ["ct", "cc", "rcc"])
+    def test_later_answer_starts_from_the_last(self, kind):
+        d = make_driver(kind, k=3, m=20, seed=17)
+        pts = np.random.default_rng(17).normal(size=(150, 3))
+        for p in pts[:90]:
+            d.push(p)
+        first = d.query()
+        rng = np.random.default_rng(18)
+        replay = best_of_runs(*pool_of(d), 3, rng, runs=5)[0]
+        assert first.centers.tobytes() == replay.centers.tobytes()
+        for p in pts[90:]:
+            d.push(p)
+        got, cost = d.query_with_cost()
+        want, want_cost = best_of_runs(*pool_of(d), 3, rng, runs=1, start=first.centers)
+        assert got.centers.tobytes() == want.centers.tobytes() and cost == want_cost
+
+    def test_repeat_query_never_costs_more(self):
+        d = make_driver("cc", k=4, m=20, seed=19)
+        for p in np.random.default_rng(19).normal(size=(160, 2)):
+            d.push(p)
+        costs = [d.query_with_cost()[1] for _ in range(4)]  # the repeat path: one pool
+        assert d.structure.last_query_path == "cached"
+        assert all(b <= a for a, b in zip(costs, costs[1:]))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_emerging_clusters(self, seed):
+        # Lloyd from the last answer alone stays stuck with the first five
+        # clusters' centers (10-24x batch on these seeds); the fresh run
+        # finds the other five.
+        k, m = 10, 200
+        pts = emerging_stream(seed, 8000, k=k)
+        batch = batch_reference(pts, k, seed=0)
+        for kind in ("ct", "cc"):
+            d = make_driver(kind, k=k, m=m, seed=seed)
+            for i, p in enumerate(pts, 1):
+                d.push(p)
+                if i % m == 0:
+                    answer = d.query()
+            assert clustering_cost(pts, answer.centers) <= 1.5 * batch, kind
 
 
 class TestAssignmentPasses:

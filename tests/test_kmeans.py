@@ -257,6 +257,30 @@ def pools(draw):
     return pts, w, draw(st.integers(1, 20)), draw(st.integers(0, 2**32 - 1))
 
 
+class TestStart:
+    """best_of_runs(start=c): a Lloyd run from c joins the seeded runs."""
+
+    @given(pools(), st.data())
+    def test_cheaper_of_seeded_and_start(self, pool, data):
+        pts, w, k, seed = pool
+        start = pts[data.draw(st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=k))]
+        seeded, seeded_cost = best_of_runs(pts, w, k, np.random.default_rng(seed), runs=2)
+        warm, warm_cost = lloyd_refine(pts, start, w)
+        got, cost = best_of_runs(pts, w, k, np.random.default_rng(seed), runs=2, start=start)
+        assert cost <= warm_cost and cost == min(seeded_cost, warm_cost)
+        want = warm if warm_cost < seeded_cost else seeded
+        assert got.centers.tobytes() == want.centers.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+
+    def test_tie_keeps_the_seeded_run(self):
+        pts, w = two_cluster_instance(seed=8)
+        seeded, cost = best_of_runs(pts, w, 2, np.random.default_rng(4), runs=2)
+        swapped = seeded.centers[::-1]  # the same converged answer, centers reordered
+        assert lloyd_refine(pts, swapped, w)[1] == cost
+        got = best_of_runs(pts, w, 2, np.random.default_rng(4), runs=2, start=swapped)
+        assert got[0].centers.tobytes() == seeded.centers.tobytes() and got[1] == cost
+
+
 def assert_reference_answer(got, cost, pts, w, want):
     """got holds the reference centers want bit for bit, with the weights and
     the cost of one reference assignment of the weighted pool to them."""
