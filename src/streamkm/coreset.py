@@ -118,12 +118,14 @@ def build_coreset(cfg: CoresetConfig, inputs: list[Bucket], rng: np.random.Gener
     weighted mean and W the total weight (only the first term when every
     point sits at mu).  The draw gives each point the exponential key
     Exp(1)/q and keeps the m smallest; the kept points stay in stream order.
-    Every input point then contributes its weight to its nearest
-    representative, and a representative that collects none (a duplicate of
-    an earlier one) is dropped, so total weight is conserved exactly.  When
-    the combined set already has at most m points it passes through
-    unchanged.  The output level is one past the deepest input level either
-    way.  Raises ValueError when the squared distances to mu overflow float64.
+    Each drawn point is its own representative, except that an exact
+    duplicate draw (-0.0 and 0.0 alike) folds into the first copy and is
+    dropped.  Only the undrawn points are assigned, each contributing its
+    weight to its nearest representative, so total weight is conserved
+    exactly.  When the combined set already has at most m points it passes
+    through unchanged.  The output level is one past the deepest input level
+    either way.  Raises ValueError when the squared distances to mu overflow
+    float64.
     """
     ordered = _ordered_contiguous(inputs)
     points = np.concatenate([b.points for b in ordered])
@@ -144,8 +146,16 @@ def build_coreset(cfg: CoresetConfig, inputs: list[Bucket], rng: np.random.Gener
     if spread_sum > 0.0:
         q = 0.5 * q + 0.5 * spread / spread_sum
     keys = rng.exponential(size=len(points)) / q
-    seeds = points[np.sort(np.argpartition(keys, cfg.m - 1)[: cfg.m])]
-    assign, _ = assign_to_centers(points, seeds)
+    drawn = np.sort(np.argpartition(keys, cfg.m - 1)[: cfg.m])
+    seeds = points[drawn]
+    # duplicate draws (-0.0 as 0.0) fold into the first: a stable sort of rows as bytes
+    rows = (seeds + 0.0).view(np.dtype((np.void, 8 * seeds.shape[1]))).ravel()
+    order = np.argsort(rows, kind="stable")
+    head = np.concatenate(([True], rows[order[1:]] != rows[order[:-1]]))
+    assign = np.empty(len(points), dtype=np.intp)
+    assign[drawn[order]] = order[head][np.cumsum(head) - 1]  # each group's first index
+    rest = np.delete(np.arange(len(points)), drawn)
+    assign[rest] = assign_to_centers(points[rest], seeds)[0]
     agg = np.bincount(assign, weights=weights, minlength=cfg.m)
     kept = agg > 0
     return Bucket(seeds[kept], agg[kept], span_l, span_r, level)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coreset import Bucket, CoresetConfig, spawn_seed
-from .kmeans import CenterSet, best_of_runs
+from .kmeans import CenterSet, as_point, best_of_runs
 
 
 class StreamClusterer:
@@ -52,7 +52,7 @@ class StreamClusterer:
         whole: its m points leave the buffer and points_seen, and the next
         bucket takes its number, as if they never arrived.
         """
-        p = np.asarray(p, dtype=np.float64)
+        p = as_point(p)
         if self._dim is None:
             self._dim = p.shape[0]
         elif p.shape[0] != self._dim:

@@ -5,9 +5,9 @@ weights; centers are (k, d) arrays.  Provides the clustering objective,
 D^2-sampled seeding, Lloyd refinement, a best-of-several-runs wrapper, and
 the one-pass sequential clusterer used as a streaming baseline.
 
-best_of_runs seeds all of its runs in one stacked D^2 pass, each run drawing
-from its own generator, which gives the same bits as seeding each run on its
-own.  lloyd_refine returns the refined centers, the weight each one gathers
+d2_sample draws each run on its own: every step makes one cumulative sum,
+one draw from the run's generator and one in-place distance update.
+lloyd_refine returns the refined centers, the weight each one gathers
 and their weighted cost, all from one assignment to the returned centers: a
 converged run's last assignment, or one final pass after max_iters.  So
 every caller takes the answer, its weights and its cost from that one
@@ -49,6 +49,14 @@ class CenterSet:
     @property
     def k(self) -> int:
         return len(self.centers)
+
+
+def as_point(p) -> np.ndarray:
+    """p as a float64 vector; ValueError, naming its shape, if it is not 1-D."""
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1:
+        raise ValueError(f"a point must be a 1-D vector, got shape {p.shape}")
+    return p
 
 
 # Distances per tile of assign_to_centers' elementwise pass: 2^15 float64s
@@ -111,14 +119,14 @@ def clustering_cost(points, centers, weights=None) -> float:
 
 
 def d2_sample(points: np.ndarray, weights: np.ndarray, k: int, rngs) -> list[np.ndarray]:
-    """Indices of up to k seeds for each generator in rngs, all runs at once:
-    the first seed is drawn by weight, the rest by weight times squared
-    distance to the seeds the run has chosen so far.
+    """Indices of up to k seeds per generator in rngs, one run each: the
+    first seed is drawn by weight, the rest by weight times squared distance
+    to the seeds the run has chosen so far.
 
-    Each run takes one uniform per seed from its own generator, so row r is
-    what a lone run on rngs[r] would draw.  A run stops early, drawing no
-    more, once every point coincides with one of its seeds, so no row
-    contains duplicate coordinates.
+    Each run draws on its own, one uniform per seed, so row r is what a lone
+    run on rngs[r] would draw.  A run stops early, drawing no more, once
+    every point coincides with one of its seeds, so no row contains
+    duplicate coordinates.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     weights = np.asarray(weights, dtype=np.float64)
@@ -127,34 +135,24 @@ def d2_sample(points: np.ndarray, weights: np.ndarray, k: int, rngs) -> list[np.
         raise ValueError("cannot sample seeds from an empty point set")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    runs = len(rngs)
-    # One contiguous copy of the points per run, so each step's differences
-    # come from a single subtract with the n points as the outer loop.
-    tiled = np.tile(points, (runs, 1, 1))
-    diff = np.empty_like(tiled)
-    d2 = np.empty((runs, n))
-    prob = np.broadcast_to(weights, (runs, n))
-    closest = np.full((runs, n), np.inf)
-    chosen = np.zeros((runs, k), dtype=np.intp)
-    sizes = np.zeros(runs, dtype=np.intp)
-    live = np.ones(runs, dtype=bool)
-    for step in range(k):
-        cum = np.cumsum(prob, axis=1)
-        total = cum[:, -1]
-        if step:
-            live &= ~(total <= 0.0)  # every remaining point duplicates a seed
-            if not live.any():
-                break
-        u = np.array([rng.random() if ok else 0.0 for rng, ok in zip(rngs, live)])
-        # searchsorted(side="right") per row on the nondecreasing cum
-        idx = np.minimum(np.count_nonzero(cum <= (u * total)[:, None], axis=1), n - 1)
-        chosen[:, step] = idx
-        sizes += live
-        if step + 1 < k:
-            np.subtract(tiled, points[idx][:, None], out=diff)
-            np.einsum("rij,rij->ri", diff, diff, out=d2)
-            prob = weights * np.minimum(closest, d2, out=closest)
-    return [row[:size] for row, size in zip(chosen, sizes)]
+    diff = np.empty_like(points)
+    d2, closest, prob, cum = np.empty((4, n))
+    out = []
+    for rng in rngs:
+        closest.fill(np.inf)
+        chosen = []
+        while len(chosen) < k:
+            np.cumsum(prob if chosen else weights, out=cum)
+            if chosen and cum[-1] <= 0.0:
+                break  # every remaining point duplicates a seed
+            idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+            chosen.append(min(idx, n - 1))
+            if len(chosen) < k:
+                np.subtract(points, points[chosen[-1]], out=diff)
+                np.einsum("ij,ij->i", diff, diff, out=d2)
+                np.multiply(weights, np.minimum(closest, d2, out=closest), out=prob)
+        out.append(np.array(chosen, dtype=np.intp))
+    return out
 
 
 def kmeans_pp(points, weights, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -246,7 +244,7 @@ class SequentialKMeans:
         if self._seeded == self.k:
             self.update(p)  # through self, so benchmarks/tracing.py's patch sees each step
             return
-        p = np.asarray(p, dtype=np.float64)
+        p = as_point(p)
         if not math.isfinite(p @ p):
             raise ValueError("point is not finite or its squared norm overflows")
         if self._state is None:
@@ -278,9 +276,9 @@ def sequential_update(state: CenterSet, p, rows: np.ndarray | None = None) -> fl
 
     The nearest center moves to the weighted centroid (w*c + p) / (w + 1)
     and its weight grows by one.  Returns the squared distance from p to
-    that center before the move.  A point whose squared distance is not
-    finite (a NaN or inf coordinate, or one so large that it overflows) is
-    rejected before any center moves.
+    that center before the move.  A point that is not a 1-D vector, or whose
+    squared distance is not finite (a NaN or inf coordinate, or one so large
+    that it overflows), is rejected before any center moves.
 
     rows is a (k + 1, d) array, its first k rows the view state.centers, its
     spare last row free for p (a copy is made without it): one einsum gives
@@ -289,7 +287,7 @@ def sequential_update(state: CenterSet, p, rows: np.ndarray | None = None) -> fl
     centers, k = state.centers, len(state.centers)
     if k == 0:
         raise ValueError("sequential update requires an initialized center set")
-    p = np.asarray(p, dtype=np.float64)
+    p = as_point(p)
     if rows is None:
         rows = np.concatenate((centers, p[None]))
     rows[k] = p

@@ -24,7 +24,7 @@ import numpy as np
 from .cache import CachedCoresetTree
 from .coreset import CoresetConfig, spawn_seed
 from .driver import StreamClusterer
-from .kmeans import CenterSet, kmeans_pp, lloyd_refine, sequential_update
+from .kmeans import CenterSet, as_point, kmeans_pp, lloyd_refine, sequential_update
 
 
 class OnlineClusterer:
@@ -75,12 +75,12 @@ class OnlineClusterer:
     def push(self, p) -> None:
         """Stream entry point: buffers the warmup prefix, then updates."""
         if self.centers is None:
-            self._warm.append(np.asarray(p, dtype=np.float64))
+            self._warm.append(as_point(p))
             if len(self._warm) == self.warmup:
                 warm, self._warm = np.array(self._warm), []
                 self.initialize(warm)
             return
-        self.update(p)
+        self.update(p)  # sequential_update checks p's shape before any center moves
 
     def initialize(self, s0) -> None:
         """Seed centers from the warmup set and start the cost estimate there.

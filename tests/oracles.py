@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from streamkm.coreset import Bucket
 from streamkm.kmeans import CenterSet
 from streamkm.online import OnlineClusterer
 
@@ -100,8 +101,9 @@ def clustering_cost(points, centers, weights=None) -> float:
 
 
 # Reference final clustering: one independent D^2 seeding and one Lloyd loop
-# per run, each followed by a fresh cost pass.  The library's stacked
-# versions must reproduce these bit for bit.
+# per run, each followed by a fresh cost pass.  The library's seeding, its
+# one-assignment Lloyd loop and its best-of-runs wrapper must reproduce these
+# bit for bit.
 
 
 def _draw(prob: np.ndarray, rng: np.random.Generator) -> int:
@@ -205,6 +207,36 @@ def best_of_runs(
     if best_centers is None:
         raise ValueError("no run reached a finite cost; squared distances overflow float64")
     return best_centers
+
+
+# Reference reduction: the lightweight-coreset draw, then one full
+# nearest-representative pass over every input point, drawn or not.  The
+# library assigns only the undrawn points, and must reproduce this bit for
+# bit except where two drawn points lie within rounding of each other: there
+# the expanded-form pass can hand one of them to the other.
+
+
+def build_coreset(cfg, inputs, rng: np.random.Generator) -> Bucket:
+    """Reduce contiguous buckets to at most m weighted representatives; a
+    representative that collects no weight (a duplicate draw) is dropped."""
+    ordered = sorted(inputs, key=lambda b: b.span_left)
+    points = np.concatenate([b.points for b in ordered])
+    weights = np.concatenate([b.weights for b in ordered])
+    level = 1 + max(b.level for b in ordered)
+    span_l, span_r = ordered[0].span_left, ordered[-1].span_right
+    if len(points) <= cfg.m:
+        return Bucket(points, weights, span_l, span_r, level)
+    total = weights.sum()
+    diff = points - weights @ points / total
+    spread = weights * np.einsum("ij,ij->i", diff, diff)
+    q = weights / total
+    if spread.sum() > 0.0:
+        q = 0.5 * q + 0.5 * spread / spread.sum()
+    keys = rng.exponential(size=len(points)) / q
+    seeds = points[np.sort(np.argpartition(keys, cfg.m - 1)[: cfg.m])]
+    assign, _ = assign_to_centers(points, seeds)
+    agg = np.bincount(assign, weights=weights, minlength=cfg.m)
+    return Bucket(seeds[agg > 0], agg[agg > 0], span_l, span_r, level)
 
 
 def same_bits(x, y) -> bool:

@@ -6,9 +6,11 @@ NaN or infinity in it, `"correct": true`, and a value for every per-layer
 metric the benchmark declares.  A metric the harness cannot source (its
 tracer target is gone from the program) is left out of that line, so this
 catches a refactor that drops an attribute or a call site the tracer reads.
-The MacQueen step, every algorithm's Lloyd loop and the queries that
-reach the order-0 `CachedCoresetTree` inside `rcc` must also read above
-zero, which catches a span that is present but never entered.  Each case
+The MacQueen step, every algorithm's Lloyd loop and D^2 seeding, the
+cache's query-time reductions in `cc` and `rcc`, and the queries that reach
+the order-0 `CachedCoresetTree` inside `rcc` must also read above zero,
+which catches a span that is present but never entered (a kernel that
+stops going through the name the tracer wraps).  Each case
 takes a few seconds.
 """
 
@@ -40,6 +42,8 @@ def test_traced_run_reports_every_metric(workload):
     missing = [m["name"] for m in BENCHMARK["per_layer"] if m["name"] not in result["metrics"]]
     assert missing == []
     seen = ["seq.kmeans.update_s", "rcc.cache.queries"]
-    seen += [f"{a}.kmeans.lloyd_s" for a in ("ct", "cc", "rcc", "online")]
+    seen += [f"{a}.kmeans.{span}_s" for a in ("ct", "cc", "rcc", "online")
+             for span in ("lloyd", "d2_sample")]
+    seen += [f"{a}.coreset.build_s.cache" for a in ("cc", "rcc")]
     blind = [name for name in seen if not result["metrics"][name]["value"] > 0]
     assert blind == []

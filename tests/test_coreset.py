@@ -1,7 +1,10 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamkm import (
     Bucket,
@@ -231,6 +234,106 @@ class TestLightweightReduction:
             with pytest.raises(ValueError, match=error), np.errstate(over="ignore"):
                 for p in pts:
                     d.push(p)
+
+
+def distinct_rows(points) -> bool:
+    """No two rows share their coordinates, -0.0 counted as 0.0."""
+    return len({row.tobytes() for row in np.asarray(points) + 0.0}) == len(points)
+
+
+class TestDuplicateDraws:
+    """A drawn point keeps itself, and exact duplicate draws fold into the
+    first; only the undrawn points go through the nearest-representative pass."""
+
+    @pytest.mark.parametrize("d", [5, 20])
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e5])
+    def test_exact_duplicates_give_distinct_representatives(self, d, scale):
+        # 15 distinct rows of non-integer coordinates, so the distances round
+        rng = np.random.default_rng(d)
+        for s in range(20):
+            base = rng.uniform(-scale, scale, size=(15, d))
+            points = base[rng.integers(0, 15, 300)]
+            weights = rng.integers(1, 5, 300).astype(float)
+            b = Bucket(points, weights, 1, 1, 0)
+            out = build_coreset(CoresetConfig(k=2, m=40), [b], np.random.default_rng(s))
+            assert distinct_rows(out.points)
+            assert out.total_weight() == weights.sum()
+
+    def test_signed_zeros_are_one_coordinate(self):
+        base = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0], [3.0, 3.0]])
+        points = np.tile(base, (10, 1))
+        for s in range(10):
+            out = build_coreset(CoresetConfig(k=1, m=20), [Bucket(points, np.ones(50), 1, 1, 0)],
+                                np.random.default_rng(s))
+            assert out.n_points <= 3 and distinct_rows(out.points)
+            assert out.total_weight() == 50
+
+    def test_near_duplicate_draws_keep_their_own_weight(self):
+        # 1000 + 1e-9 and 1000 lie within rounding of each other: the full
+        # expanded-form pass hands the drawn 1000 to the earlier draw and
+        # drops it, while the library keeps both
+        b = Bucket([[1000.0 + 1e-9], [1000.0], [2000.0]], [1.0, 2.0, 4.0], 1, 1, 0)
+        cfg = CoresetConfig(k=1, m=2)
+        got = build_coreset(cfg, [b], np.random.default_rng(1))
+        want = oracles.build_coreset(cfg, [b], np.random.default_rng(1))
+        assert oracles.same_bits(got.points, [[1000.0 + 1e-9], [1000.0]])
+        assert oracles.same_bits(got.weights, [5.0, 2.0])
+        assert oracles.same_bits(want.points, [[1000.0 + 1e-9]])
+        assert oracles.same_bits(want.weights, [7.0])
+
+    @pytest.mark.parametrize("noise", [1e-9, 1e-6])
+    def test_every_representative_keeps_its_own_weight(self, noise):
+        # near-duplicate rows around 1e3: every input row is distinct, so
+        # each representative is one input point and holds at least its weight
+        rng = np.random.default_rng(13)
+        for s in range(10):
+            base = rng.uniform(999.0, 1001.0, size=(10, 5))
+            points = base[rng.integers(0, 10, 200)] + rng.normal(0.0, noise, (200, 5))
+            weights = rng.uniform(0.5, 2.0, 200)
+            own = {row.tobytes(): w for row, w in zip(points, weights)}
+            assert len(own) == 200
+            out = build_coreset(CoresetConfig(k=2, m=60), [Bucket(points, weights, 1, 1, 0)],
+                                np.random.default_rng(s))
+            assert out.n_points == 60
+            assert all(w >= own[row.tobytes()] for row, w in zip(out.points, out.weights))
+
+
+@st.composite
+def reductions(draw):
+    """Contiguous buckets of generic floats, of a small integer grid or of a
+    few repeated rows at up to 1e5, with a summary size and a draw seed."""
+    d = draw(st.integers(1, 20))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 60), min_size=1, max_size=4))
+    n = sum(sizes)
+    kind = draw(st.sampled_from(["generic", "grid", "repeated"]))
+    if kind == "generic":
+        points = data.normal(size=(n, d)) * draw(st.sampled_from([1e-3, 1.0, 1e5]))
+    elif kind == "grid":
+        points = data.integers(-2, 3, size=(n, d)).astype(float)
+    else:
+        base = data.uniform(-1e5, 1e5, size=(draw(st.integers(1, 10)), d))
+        points = base[data.integers(0, len(base), n)]
+    weights = data.uniform(0.5, 2.0, n) if draw(st.booleans()) else np.ones(n)
+    cuts = np.cumsum([0] + sizes)
+    buckets = [
+        Bucket(points[lo:hi], weights[lo:hi], i, i, draw(st.integers(0, 3)))
+        for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]), 1)
+    ]
+    return CoresetConfig(k=1, m=draw(st.integers(1, n))), buckets, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100)
+@given(case=reductions())
+def test_build_coreset_matches_full_pass_reference(case):
+    """Bit equality with the reduction that assigns every point, drawn or
+    not (tests/oracles.py), away from near-duplicate draws."""
+    cfg, buckets, seed = case
+    got = build_coreset(cfg, buckets, np.random.default_rng(seed))
+    want = oracles.build_coreset(cfg, buckets, np.random.default_rng(seed))
+    assert oracles.same_bits(got.points, want.points)
+    assert oracles.same_bits(got.weights, want.weights)
+    assert (got.span, got.level) == (want.span, want.level)
 
 
 class TestCoresetConfig:

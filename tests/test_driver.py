@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from streamkm import (
     best_of_runs,
     clustering_cost,
 )
-from streamkm.bench import batch_reference
+from streamkm.bench import _FACTORIES, ALGORITHMS, BenchOptions, batch_reference
 
 
 def make_driver(structure_kind="ct", k=2, m=5, seed=0, r=2):
@@ -151,6 +153,28 @@ class TestPush:
         assert raised >= 1
         with np.errstate(over="ignore"):
             assert d.query().weights.sum() == pytest.approx(d.points_seen)
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_push_rejects_a_point_that_is_not_a_vector(algo):
+    """Every algorithm's push names the shape of a scalar, a (1, d) row or a
+    (d, 1) column and keeps no trace of it: pushed before seeding, at the
+    end of warmup and just before a flush, the bad points leave the run's
+    answer and stored points bit for bit those of a run without them."""
+    cfg = CoresetConfig(k=3, m=10, seed=0)
+    pts = np.random.default_rng(6).normal(size=(45, 2))
+    runs = [_FACTORIES[algo](cfg, np.random.SeedSequence(7), BenchOptions()) for _ in range(2)]
+    for i, p in enumerate(pts):
+        if i in (0, 5, 9, 29):
+            for bad in (np.float64(1.0), p[None], p[:, None]):
+                with pytest.raises(ValueError, match=re.escape(f"shape {bad.shape}")):
+                    runs[0].push(bad)
+        for run in runs:
+            run.push(p)
+    got, want = runs[0].query(), runs[1].query()
+    assert got.centers.tobytes() == want.centers.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert runs[0].stored_points() == runs[1].stored_points()
 
 
 class TestQuery:
