@@ -5,8 +5,10 @@ r_i = 2**(2**i) and mirrors each nonempty level with a child node of order
 i-1 for fast retrieval.  After a carry lands in level c, the levels below c
 are empty and their children are dropped; child c alone receives the new
 bucket, so every child holds exactly the buckets of its level.  Every node
-is a `CachedCoresetTree` and answers through `CachedCoresetTree._cached_query`;
-an order-0 node is that class with merge degree 2 and runs its own code.
+is a `CachedCoresetTree` and answers through its `_candidate` and
+`_cached_query`; an order-0 node is that class with merge degree 2 and runs
+its own code.  The top node's `summary()` is the inherited one, so it skips
+the same reductions; a child is only ever asked for `coreset()`.
 Queries usually merge just two buckets per order: one cached prefix summary
 and the recursive summary of the lowest nonempty level, giving a merge width
 that grows with the nesting depth rather than with the merge degree.
@@ -72,20 +74,30 @@ class RecursiveCachedTree(CachedCoresetTree):
 
         Order 0 answers as `CachedCoresetTree` does.  Above that, the minor
         part is the answer of the child mirroring the lowest nonempty level,
-        and a fallback merges every child's answer.  The merge count is the
-        query's width plus the counts of the children it asked.
+        and a fallback merges every child's answer.
         """
-        self.last_query_merge_count = 0
         if self.order == 0:
-            out = super().coreset()
-        else:
-            out = self._cached_query(
-                lambda: self._answers([min(self.children)]),
-                lambda: self._answers(sorted(self.children)),
-                build_coreset,
-            )
+            return super().coreset()
+        return self._cached_query(build_coreset)
+
+    def _candidate(self) -> list[Bucket]:
+        """The inherited candidate, with this query's merge count: its width
+        plus the counts of the children it asked."""
+        self.last_query_merge_count = 0
+        candidate = super()._candidate()
         self.last_query_merge_count += self.last_query_width
-        return out
+        return candidate
+
+    def _minor(self) -> list[Bucket]:
+        if self.order == 0:
+            return super()._minor()
+        return self._answers([min(self.children)])
+
+    def _fallback(self) -> list[Bucket]:
+        """Every child's answer, the highest level (oldest buckets) first."""
+        if self.order == 0:
+            return super()._fallback()
+        return self._answers(sorted(self.children, reverse=True))
 
     def _answers(self, levels: list[int]) -> list[Bucket]:
         """These levels' children's answers, adding their merge counts to this query's."""

@@ -156,6 +156,41 @@ class TestDeterminism:
             assert a.level == b.level
 
 
+class TestSkippedReductions:
+    """summary() at a count r does not divide leaves the candidate unreduced."""
+
+    def setup_method(self):
+        self.cfg = CoresetConfig(k=2, m=12, seed=6)
+
+    def test_query_every_bucket_r2(self):
+        cc = CachedCoresetTree(self.cfg, r=2)
+        rng = np.random.default_rng(6)
+        for i in range(1, 65):
+            cc.update(base_bucket(rng, i))
+            parts = cc.summary()
+            # an odd count above 1 gets the entry under i - 1 and bucket i
+            assert len(parts) == (2 if i % 2 and i > 1 else 1)
+            assert (i in cc.cache_keys()) == (i % 2 == 0)
+        # every even count reduces but the powers of two, which are tree-only
+        assert (cc.query_builds, cc.query_skips) == (26, 31)
+
+    def test_repeat_at_a_skipped_count_caches_every_later_answer(self):
+        cc = CachedCoresetTree(self.cfg, r=2)
+        rng = np.random.default_rng(7)
+        for i in range(1, 65):
+            cc.update(base_bucket(rng, i))
+            parts = cc.summary()
+            if i == 33:
+                builds, skips = cc.query_builds, cc.query_skips
+                assert all(a is b for a, b in zip(cc.summary(), parts, strict=True))
+                assert (cc.query_builds, cc.query_skips) == (builds, skips)
+                assert 33 not in cc.cache_keys()
+            elif i > 33:
+                assert len(parts) == 1 and i in cc.cache_keys()
+        # 11 reductions below 33, then every count but 64 (tree-only)
+        assert (cc.query_builds, cc.query_skips) == (11 + 30, 16)
+
+
 def test_structure_matches_plain_tree_when_cache_disabled_every_query():
     # with the cache emptied before each query, the candidate set equals the
     # plain tree's active buckets, so CC degrades to CT and never worse

@@ -39,16 +39,16 @@ GOLDEN = {
         "6052e3827fab784aabf3758bd64bc86d3d99fe088aae10ff0ade65973d11592d",
     ),
     "mixture-fixed/cc": (
-        "67db4da52da9ae206cca331be00c5b6db9d3736207ca6c69183a3d0d175b42f9",
-        "b71b9c4157505ea26987981e586c0f7e5c2f4f67ebca920d695b602c21f14ca8",
+        "093f71222a9eee9da8fc33252ab647be1d8fa7d440e5d4dbe5640292ef23f100",
+        "7dd7f98a8131c2aa1169d75d1df824c77a8851d3310f4b3e6e2460a1c5503c0d",
     ),
     "mixture-fixed/rcc": (
-        "10b2f421eeecccaf742df56235725419e07a4331c4387ccfdeb4a5ab1f663159",
-        "eb5529e0f48564008eff96ce418e522bdf5550a21ce4d28c62f5fbdf51cb9451",
+        "b1961004748afb22772d54638665fbf99eafa9168e526dca4e66fa22b51bab90",
+        "f6b630fdbb6455828f1aa1bc013b38ea91f9b2ffa02504762fc3e4f29ed400f7",
     ),
     "mixture-fixed/online": (
-        "c40b9913e0dd6b0da6918f28fb8ed0b8f2ed0ee3c593a4bea082cc6926351505",
-        "f2e48ac0eeeb708f415bd6d4707bc62c3203d18f645b8426dcaff576ecb11d5c",
+        "07fb545f6c13c4bb36cae4020ee081f2e3746bf48bda7553609fbd5bb11c47b7",
+        "241cbd20e87877ada0a077c6909ab6b4cfe90994a3fa561b6b986bfac9cfd19c",
     ),
     "drift-poisson/seq": (
         "b23394e74ab60c4435ce66b534e68e25197d46b3661f7472c1df40edd01fdac5",
@@ -59,16 +59,16 @@ GOLDEN = {
         "ae80d85a922e9dc225f5bdbd301850d43c072129cee1a6f7878f2a172b2f88d4",
     ),
     "drift-poisson/cc": (
-        "77c70ba5dd36519cd8f20257b584ca37866a33ef6e56dfc277343d641c0d290c",
-        "c18454286bc01fd86827ca1698237fd2cfba6302d3eb6eea1afe5ccc4d1109d4",
+        "f61100e45a24d4b9f82cc1b20b482e508bbd5c7d413ae81508e995493dca59eb",
+        "85ae9b64558523e734dd4e54aba8ee2c5beede0296a0a2cf4fd64fa12c843bab",
     ),
     "drift-poisson/rcc": (
-        "5ee15862c8be8bcb42238e4e9e4a613c4d1f049dd15fbce6eead30c073a492b8",
-        "684659a2b1cdb7336f3493b854ae8757c2ea440459a633ad481afbf125cfb514",
+        "64b3f5921be5a25998e84ee8849e2c58acf5cc73255e377e7244159443dcdf3e",
+        "adb92b2f02a15c3a3ff44d0447f86afe49bb095b7ab20eb5ba0edf57b403e1f0",
     ),
     "drift-poisson/online": (
-        "3109d5aaa4e298a19109675eb4b4a87d50caeb6c9f33345879be37c892f654b1",
-        "c24f5aaa4f700dbdb1457e60fce261d0a8b5a36776871361e54e587e7a6f2a87",
+        "a1572fadb13463f81c183abb47c4183040bfb8205a53bdb20fd9c4eb4209b9f9",
+        "90fd8f0d2fb7d820cfb0f74a28695b18b44f1d92b612dc38054671d66d95cfa4",
     ),
 }
 

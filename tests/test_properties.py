@@ -9,9 +9,11 @@ and no other child exists.  Through the driver, for every structure and the
 online clusterer, the weight an answer carries is the number of points
 pushed, however the stream is split between pushes and queries.  A
 query with no update since the last one returns that answer's bytes and
-reduces nothing, for `cc` and for `rcc` at every order.  Every bucket a
-structure holds or answers with refuses writes, so sharing one between a
-tree, a cache and a child cannot leak an edit.
+reduces nothing, for `cc` and for `rcc` at every order.  Through
+`summary()` those structures take the path a twin asked `coreset()` takes,
+and a repeat returns the same bytes.  Every bucket a structure holds or
+answers with refuses writes, so sharing one between a tree, a cache and a
+child cannot leak an edit.
 """
 
 from contextlib import ExitStack
@@ -111,6 +113,47 @@ def test_repeat_query_returns_the_cached_answer(name, queries, seed):
                 assert again.points.tobytes() == first.points.tobytes()
                 assert again.weights.tobytes() == first.weights.tobytes()
                 assert (again.span, again.level) == (first.span, first.level)
+
+
+def pool_bytes(buckets):
+    return [(b.points.tobytes(), b.weights.tobytes(), b.span, b.level) for b in buckets]
+
+
+@pytest.mark.parametrize("name", sorted(REPEATABLE))
+@given(queries=schedules(200), seed=st.integers(0, 2**16))
+def test_summary_skips_only_reductions_no_later_query_reads(name, queries, seed):
+    # A twin asked coreset() at the same counts caches every answer.  The
+    # first query at each count must take the twin's path, so a skipped
+    # entry never turns a later cache hit into a fallback, and the twin's
+    # every reduction is either made or counted as skipped.
+    make, _ = REPEATABLE[name]
+    cfg = CoresetConfig(k=2, m=4, seed=seed)
+    structure, twin = make(cfg), make(cfg)
+    data = np.random.default_rng(seed)
+    for n, count in enumerate(queries, 1):
+        pts = data.normal(size=(POINTS_PER_BUCKET, 2))
+        for s in (structure, twin):
+            s.update(Bucket(pts, np.ones(POINTS_PER_BUCKET), n, n, 0))
+        first = None
+        for _ in range(count):
+            parts = structure.summary()
+            assert [b.span_left for b in parts] == [1] + [b.span_right + 1 for b in parts[:-1]]
+            assert parts[-1].span_right == n
+            assert sum(b.total_weight() for b in parts) == pytest.approx(
+                POINTS_PER_BUCKET * n, rel=1e-12
+            )
+            assert set(structure.cache_keys()) <= set(prefixsum(n, structure.r)) | {n}
+            if first is not None:
+                assert pool_bytes(parts) == first
+                continue
+            first = pool_bytes(parts)
+            twin.coreset()
+            assert structure.last_query_path == twin.last_query_path
+            assert structure.last_query_width == twin.last_query_width
+            assert getattr(structure, "last_query_merge_count", None) == getattr(
+                twin, "last_query_merge_count", None
+            )
+            assert structure.query_builds + structure.query_skips == twin.query_builds
 
 
 DRIVEN = {
